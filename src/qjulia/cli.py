@@ -17,7 +17,7 @@ from pathlib import Path
 
 from qjulia import field, oracle2d, render
 from qjulia.config import ConfigError, RenderConfig, parse_config, parse_sweep
-from qjulia.dynamics import OutcomeKind, QRationalMap
+from qjulia.dynamics import ClassifierParams, OutcomeKind, QRationalMap
 
 
 def _read_text(path: str) -> str:
@@ -41,24 +41,30 @@ def _dump_field(fld: field.ClassificationField, path: str) -> None:
     print(f"wrote {path}")
 
 
-def run_render(args) -> int:
-    cfg = parse_config(_read_text(args.config))
-    workers = _effective_workers(cfg, args.workers)
-    out = args.out or cfg.output_path
-    F = cfg.map.build()
+def _render_to(
+    path, F: QRationalMap, cfg: RenderConfig, params: ClassifierParams, workers: int
+) -> None:
     image = render.render_image(
         F,
         cfg.region,
         cfg.embedding,
-        cfg.params,
+        params,
         cfg.camera,
         cfg.lighting,
         k_refine=cfg.k_refine,
         workers=workers,
         palette=cfg.palette,
     )
-    render.write_ppm(out, image)
-    print(f"wrote {out}")
+    render.write_ppm(path, image)
+    print(f"wrote {path}")
+
+
+def run_render(args) -> int:
+    cfg = parse_config(_read_text(args.config))
+    workers = _effective_workers(cfg, args.workers)
+    out = args.out or cfg.output_path
+    F = cfg.map.build()
+    _render_to(out, F, cfg, cfg.params, workers)
     if args.dump_field:
         fld = field.scan(F, cfg.region, cfg.embedding, cfg.params, workers=workers)
         _dump_field(fld, args.dump_field)
@@ -121,22 +127,10 @@ def run_sweep(args) -> int:
             f"{converged:.6f},{mean_steps:.6f}"
         )
         if not args.no_images:
-            image = render.render_image(
-                F,
-                base.region,
-                base.embedding,
-                params,
-                base.camera,
-                base.lighting,
-                k_refine=base.k_refine,
-                workers=workers,
-                palette=base.palette,
-            )
             cell = out_path.with_name(
                 f"{out_path.stem}_r{radius:g}_it{max_iter}.ppm"
             )
-            render.write_ppm(cell, image)
-            print(f"wrote {cell}")
+            _render_to(cell, F, base, params, workers)
     with open(out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {out}")
@@ -163,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_slice = sub.add_parser("slice", help="write the complex cross-section as PGM")
     p_slice.add_argument("config", help="JSON job description")
-    p_slice.add_argument("--workers", type=int, help="accepted for symmetry; unused")
     p_slice.add_argument("--out", help="output image path (overrides outputPath)")
     p_slice.set_defaults(func=run_slice)
 
@@ -182,10 +175,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -286,9 +286,30 @@ class ClassificationField:
         return float(self.steps.mean())
 
 
-def _chunk_ranges(total: int) -> Iterator[tuple[int, int]]:
-    for lo in range(0, total, _CHUNK):
-        yield lo, min(lo + _CHUNK, total)
+def run_chunks(
+    run: Callable[[int, int], None], total: int, size: int, workers: int
+) -> None:
+    """Call run(lo, hi) once for each size-long slice of range(total).
+
+    The slices depend only on total and size, never on workers, so a run
+    that writes just its own slice of the output gives the same bytes for
+    any worker count.  The first error raised by a chunk, in slice order,
+    is re-raised.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(run, lo, min(lo + size, total))
+            for lo in range(0, total, size)
+        ]
+        try:
+            for fut in futures:
+                fut.result()
+        except BaseException:
+            # stop at the first failure instead of running the queued chunks
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def scan(
@@ -299,8 +320,6 @@ def scan(
     workers: int = 1,
 ) -> ClassificationField:
     """Classify every voxel of the region; same bytes for any worker count."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     nx, ny, nz = region.resolution
     total = region.voxel_count
     tags = np.empty(total, dtype=np.uint8)
@@ -318,14 +337,7 @@ def scan(
         hr, hm, hn, hp = _embed_batch(emb, xs, ys, zs)
         tags[lo:hi], steps[lo:hi] = _classify_batch(F, params, hr, hm, hn, hp)
 
-    if workers == 1:
-        for lo, hi in _chunk_ranges(total):
-            run_chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_chunk, lo, hi) for lo, hi in _chunk_ranges(total)]
-            for fut in futures:
-                fut.result()
+    run_chunks(run_chunk, total, _CHUNK, workers)
 
     return ClassificationField(
         region, emb, params, tags.reshape(nz, ny, nx), steps.reshape(nz, ny, nx)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import colorsys
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +116,6 @@ def cast_rays(
     is no bracket to refine).  Basin interiors behind the first hit are
     never revisited.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     axis, sign, u_axis, v_axis = _frame_axes(camera.view_axis)
     w, h = camera.image_size
     na = region.resolution[axis]
@@ -205,14 +202,7 @@ def cast_rays(
         points[sl] = c_points.reshape(rows, w, 4)
         steps_at_hit[sl] = c_steps.reshape(rows, w)
 
-    chunks = [(r, min(r + _ROW_CHUNK, h)) for r in range(0, h, _ROW_CHUNK)]
-    if workers == 1:
-        for r0, r1 in chunks:
-            run_rows(r0, r1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(run_rows, r0, r1) for r0, r1 in chunks]:
-                fut.result()
+    fld.run_chunks(run_rows, h, _ROW_CHUNK, workers)
 
     return DepthMap(hit, depth, points, steps_at_hit, du, dv)
 

@@ -97,6 +97,20 @@ def test_scan_worker_count_invariance():
         fld.scan(NEWTON, region, fld.DEFAULT_EMBEDDING, CO, workers=0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_chunks_calls_each_slice_once_and_reraises(workers):
+    seen = []
+    fld.run_chunks(lambda lo, hi: seen.append((lo, hi)), 10, 4, workers)
+    assert sorted(seen) == [(0, 4), (4, 8), (8, 10)]
+
+    def fail_second(lo, hi):
+        if lo == 4:
+            raise RuntimeError("chunk 4..8 failed")
+
+    with pytest.raises(RuntimeError, match="chunk 4..8 failed"):
+        fld.run_chunks(fail_second, 10, 4, workers)
+
+
 def test_plotted_mask_matches_is_plotted():
     f = fld.scan(NEWTON, BOX, fld.DEFAULT_EMBEDDING, CO)
     mask = f.plotted_mask()

@@ -159,14 +159,16 @@ def test_cast_rays_matches_scalar_bisection_exactly():
 
 
 def test_render_deterministic_across_workers():
-    cam = rnd.Camera("+z", (32, 32))
     light = rnd.LightingParams(rnd.LightModel.PHONG, rnd.normalize3((0.3, 0.4, 0.9)))
-    base = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=1)
-    again = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=1)
-    multi = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=4)
-    assert np.array_equal(base, again)
-    assert np.array_equal(base, multi)
-    assert base.any()
+    # 21 rows leave a last row chunk shorter than _ROW_CHUNK
+    for size, workers in (((32, 32), 4), ((24, 21), 3)):
+        cam = rnd.Camera("+z", size)
+        base = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=1)
+        again = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=1)
+        multi = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=workers)
+        assert np.array_equal(base, again)
+        assert np.array_equal(base, multi)
+        assert base.any()
 
 
 def test_view_axis_symmetry_hit_counts():
