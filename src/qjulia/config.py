@@ -12,6 +12,7 @@ the message rather than being ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -98,7 +99,14 @@ def _need(data: dict, key: str, ctx: str = ""):
 def _number(v: Any, key: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{key}: expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    # json.loads accepts NaN, Infinity and 1e999, which no setting can use
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number")
+    return x
 
 
 def _integer(v: Any, key: str) -> int:
@@ -109,7 +117,7 @@ def _integer(v: Any, key: str) -> int:
 
 def _quaternion(v: Any, key: str) -> Quaternion:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return Quaternion(float(v), 0.0, 0.0, 0.0)
+        return Quaternion(_number(v, key), 0.0, 0.0, 0.0)
     if isinstance(v, list) and len(v) == 4:
         return Quaternion(*(_number(c, key) for c in v))
     raise ConfigError(f"{key}: expected a number or [r, m, n, p]")

@@ -178,44 +178,39 @@ class ClassifierParams:
 def classify(F: QRationalMap, seed: Quaternion, params: ClassifierParams) -> OrbitOutcome:
     """Iterate the map from seed and report the orbit's fate.
 
-    Escape time: the verdict comes from the value left after max_iter
-    steps (or from overflow to non-finite, whichever happens first); the
-    recorded step count is the first n whose iterate already lay outside
-    the bailout ball.  Testing only the final value is what keeps orbits
-    that shoot past the ball and come back, routine for Newton maps near
-    poles, out of the escaped class.
+    Both methods share one orbit loop: a pole ends it as PoleHit{n}, and
+    overflow to non-finite ends it as Escaped.  Only the per-step test
+    differs.
+
+    Escape time: the step test just records the first n whose iterate
+    lay outside the bailout ball (that is also the step count reported
+    on overflow).  The verdict comes from the value left after max_iter
+    steps.  Testing only the final value is what keeps orbits that shoot
+    past the ball and come back, routine for Newton maps near poles, out
+    of the escaped class.
 
     Cut-off rate: stop at the first n with |p_n - p_{n-1}| < radius and
     report Converged{n}.  Orbits that never settle within max_iter steps
     are Indeterminate, which downstream plotting treats as on-boundary.
     """
-    if params.method is ClassifierMethod.ESCAPE_TIME:
-        p = seed
-        first_out = 0
-        for n in range(1, params.max_iter + 1):
-            try:
-                p = eval_map(F, p)
-            except PoleError:
-                return OrbitOutcome(OutcomeKind.POLE_HIT, n)
-            if not quat.is_finite(p):
-                return OrbitOutcome(OutcomeKind.ESCAPED, first_out if first_out else n)
-            if first_out == 0 and quat.norm(p) > params.radius:
-                first_out = n
-        if quat.norm(p) > params.radius:
-            return OrbitOutcome(OutcomeKind.ESCAPED, first_out)
-        return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, p)
-
+    escape = params.method is ClassifierMethod.ESCAPE_TIME
     prev = seed
+    first_out = 0
     for n in range(1, params.max_iter + 1):
         try:
             cur = eval_map(F, prev)
         except PoleError:
             return OrbitOutcome(OutcomeKind.POLE_HIT, n)
         if not quat.is_finite(cur):
-            return OrbitOutcome(OutcomeKind.ESCAPED, n)
-        if quat.distance(cur, prev) < params.radius:
+            return OrbitOutcome(OutcomeKind.ESCAPED, first_out if first_out else n)
+        if escape:
+            if first_out == 0 and quat.norm(cur) > params.radius:
+                first_out = n
+        elif quat.distance(cur, prev) < params.radius:
             return OrbitOutcome(OutcomeKind.CONVERGED, n, cur)
         prev = cur
+    if escape and quat.norm(prev) > params.radius:
+        return OrbitOutcome(OutcomeKind.ESCAPED, first_out)
     return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, prev)
 
 

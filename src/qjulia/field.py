@@ -158,6 +158,12 @@ def _step_batch(F: QRationalMap, hr, hm, hn, hp):
 def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
     """Vectorized dynamics.classify over component arrays.
 
+    Mirrors the scalar function's single orbit loop: pole and overflow
+    bookkeeping is shared, and only the per-step test branches on the
+    method (escape time records each lane's first step outside the ball
+    and decides on the final iterate's norm; cut-off rate retires lanes
+    at the first |p_n - p_{n-1}| < radius).
+
     Returns (tags uint8, steps uint32).  Lanes drop out of the working
     set as they resolve; per-lane values never depend on other lanes, so
     any partition of seeds into batches gives identical results.
@@ -167,46 +173,7 @@ def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
     steps = np.zeros(count, dtype=np.uint32)
     idx = np.arange(count)
     escape = params.method is ClassifierMethod.ESCAPE_TIME
-
-    if escape:
-        first_out = np.zeros(count, dtype=np.uint32)
-        cur_norm = np.zeros(0)
-        cur = (hr, hm, hn, hp)
-        for n in range(1, params.max_iter + 1):
-            br, bm, bn, bp, pole = _step_batch(F, *cur)
-            finite = (
-                np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
-            )
-            blown = ~finite & ~pole
-            if pole.any():
-                tags[idx[pole]] = OutcomeKind.POLE_HIT
-                steps[idx[pole]] = n
-            if blown.any():
-                g = idx[blown]
-                fo = first_out[g]
-                tags[g] = OutcomeKind.ESCAPED
-                steps[g] = np.where(fo != 0, fo, n)
-            live = finite & ~pole
-            idx = idx[live]
-            if idx.size == 0:
-                cur_norm = np.zeros(0)
-                break
-            br, bm, bn, bp = br[live], bm[live], bn[live], bp[live]
-            with np.errstate(over="ignore"):
-                cur_norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
-            fo = first_out[idx]
-            newly = (fo == 0) & (cur_norm > params.radius)
-            if newly.any():
-                first_out[idx[newly]] = n
-            cur = (br, bm, bn, bp)
-        if idx.size:
-            out = cur_norm > params.radius
-            g = idx[out]
-            tags[g] = OutcomeKind.ESCAPED
-            steps[g] = first_out[g]
-            tags[idx[~out]] = OutcomeKind.INDETERMINATE
-            steps[idx[~out]] = params.max_iter
-        return tags, steps
+    first_out = np.zeros(count, dtype=np.uint32)
 
     prev = (hr, hm, hn, hp)
     for n in range(1, params.max_iter + 1):
@@ -217,27 +184,43 @@ def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
             tags[idx[pole]] = OutcomeKind.POLE_HIT
             steps[idx[pole]] = n
         if blown.any():
-            tags[idx[blown]] = OutcomeKind.ESCAPED
-            steps[idx[blown]] = n
-        live = finite & ~pole
-        with np.errstate(all="ignore"):
-            dr = br - prev[0]
-            dm = bm - prev[1]
-            dn = bn - prev[2]
-            dp = bp - prev[3]
-            dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
-            conv = live & (dist < params.radius)
-        if conv.any():
-            tags[idx[conv]] = OutcomeKind.CONVERGED
-            steps[idx[conv]] = n
-        keep = live & ~conv
+            g = idx[blown]
+            fo = first_out[g]
+            tags[g] = OutcomeKind.ESCAPED
+            steps[g] = np.where(fo != 0, fo, n)
+        keep = finite & ~pole
+        if escape:
+            with np.errstate(all="ignore"):
+                norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
+            newly = keep & (first_out[idx] == 0) & (norm > params.radius)
+            if newly.any():
+                first_out[idx[newly]] = n
+        else:
+            with np.errstate(all="ignore"):
+                dr = br - prev[0]
+                dm = bm - prev[1]
+                dn = bn - prev[2]
+                dp = bp - prev[3]
+                dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
+                conv = keep & (dist < params.radius)
+            if conv.any():
+                tags[idx[conv]] = OutcomeKind.CONVERGED
+                steps[idx[conv]] = n
+            keep &= ~conv
         idx = idx[keep]
         if idx.size == 0:
             break
         prev = (br[keep], bm[keep], bn[keep], bp[keep])
-    if idx.size:
-        tags[idx] = OutcomeKind.INDETERMINATE
-        steps[idx] = params.max_iter
+    if escape and idx.size:
+        pr, pm, pn, pp = prev
+        with np.errstate(over="ignore"):
+            out = np.sqrt(pr * pr + pm * pm + pn * pn + pp * pp) > params.radius
+        g = idx[out]
+        tags[g] = OutcomeKind.ESCAPED
+        steps[g] = first_out[g]
+        idx = idx[~out]
+    tags[idx] = OutcomeKind.INDETERMINATE
+    steps[idx] = params.max_iter
     return tags, steps
 
 
@@ -277,7 +260,7 @@ class ClassificationField:
         return {kind: int((self.tags == kind).sum()) for kind in OutcomeKind}
 
     def fraction(self, kind: OutcomeKind) -> float:
-        return self.counts()[kind] / self.region.voxel_count
+        return int((self.tags == kind).sum()) / self.region.voxel_count
 
     def fraction_plotted(self) -> float:
         return float(self.plotted_mask().sum()) / self.region.voxel_count

@@ -132,75 +132,55 @@ def cast_rays(
     points = np.zeros((h, w, 4))
     steps_at_hit = np.zeros((h, w), dtype=np.uint32)
 
-    def embed_layer(u, v, t):
-        coords = [None, None, None]
-        coords[axis] = t
-        coords[u_axis] = u
-        coords[v_axis] = v
-        return fld._embed_batch(emb, coords[0], coords[1], coords[2])
+    def layer_t(j):
+        return region.min[axis] + j * da if sign > 0 else region.max[axis] - j * da
 
     def run_rows(r0: int, r1: int) -> None:
         rows = r1 - r0
-        count = rows * w
         u_flat = np.tile(us, rows)
         v_flat = np.repeat(vs[r0:r1], w)
-        alive = np.arange(count)
-        bis_idx: list[np.ndarray] = []
-        bis_a: list[np.ndarray] = []
-        bis_b: list[np.ndarray] = []
-        c_hit = np.zeros(count, dtype=bool)
-        c_depth = np.full(count, np.inf)
-        c_points = np.zeros((count, 4))
-        c_steps = np.zeros(count, dtype=np.uint32)
 
-        prev_t = t0
+        def sample(lanes, ts):
+            coords = [None, None, None]
+            coords[axis] = ts
+            coords[u_axis] = u_flat[lanes]
+            coords[v_axis] = v_flat[lanes]
+            q = fld._embed_batch(emb, *coords)
+            tags, steps = fld._classify_batch(F, params, *q)
+            return q, steps, fld.plotted_bits(tags, steps, params)
+
+        # march: record each ray's first plotted layer, -1 for a miss
+        first = np.full(rows * w, -1)
+        alive = np.arange(rows * w)
         for j in range(na):
             if alive.size == 0:
                 break
-            t = region.min[axis] + j * da if sign > 0 else region.max[axis] - j * da
-            ts = np.full(alive.size, t)
-            hr, hm, hn, hp = embed_layer(u_flat[alive], v_flat[alive], ts)
-            tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
-            plotted = fld.plotted_bits(tags, steps, params)
-            if plotted.any():
-                g = alive[plotted]
-                c_hit[g] = True
-                if j == 0:
-                    c_depth[g] = 0.0
-                    c_points[g] = np.stack(
-                        [hr[plotted], hm[plotted], hn[plotted], hp[plotted]], axis=1
-                    )
-                    c_steps[g] = steps[plotted]
-                else:
-                    bis_idx.append(g)
-                    bis_a.append(np.full(g.size, prev_t))
-                    bis_b.append(np.full(g.size, t))
-                alive = alive[~plotted]
-            prev_t = t
+            plotted = sample(alive, np.full(alive.size, layer_t(j)))[2]
+            first[alive[plotted]] = j
+            alive = alive[~plotted]
 
-        if bis_idx:
-            g = np.concatenate(bis_idx)
-            a_t = np.concatenate(bis_a)
-            b_t = np.concatenate(bis_b)
-            for _ in range(k_refine):
-                mid = (a_t + b_t) * 0.5
-                hr, hm, hn, hp = embed_layer(u_flat[g], v_flat[g], mid)
-                tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
-                plotted = fld.plotted_bits(tags, steps, params)
-                b_t = np.where(plotted, mid, b_t)
-                a_t = np.where(plotted, a_t, mid)
-            final = (a_t + b_t) * 0.5
-            hr, hm, hn, hp = embed_layer(u_flat[g], v_flat[g], final)
-            tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
-            c_depth[g] = (final - t0) * sign
-            c_points[g] = np.stack([hr, hm, hn, hp], axis=1)
-            c_steps[g] = steps
+        # bisect between the last unplotted and the first plotted layer;
+        # layer-0 hits have no bracket and stay on the entrance face
+        hits = np.flatnonzero(first >= 0)
+        bracketed = first[hits] > 0
+        g = hits[bracketed]
+        a_t = layer_t(first[g] - 1)
+        b_t = layer_t(first[g])
+        for _ in range(k_refine):
+            mid = (a_t + b_t) * 0.5
+            plotted = sample(g, mid)[2]
+            b_t = np.where(plotted, mid, b_t)
+            a_t = np.where(plotted, a_t, mid)
+        ts = layer_t(first[hits])
+        ts[bracketed] = (a_t + b_t) * 0.5
+        q, steps, _ = sample(hits, ts)
 
-        sl = slice(r0, r1)
-        hit[sl] = c_hit.reshape(rows, w)
-        depth[sl] = c_depth.reshape(rows, w)
-        points[sl] = c_points.reshape(rows, w, 4)
-        steps_at_hit[sl] = c_steps.reshape(rows, w)
+        out = (r0 + hits // w, hits % w)
+        hit[out] = True
+        # a literal +0.0: (t0 - t0) * sign is -0.0 on the negative axes
+        depth[out] = np.where(bracketed, (ts - t0) * sign, 0.0)
+        points[out] = np.stack(q, axis=1)
+        steps_at_hit[out] = steps
 
     fld.run_chunks(run_rows, h, _ROW_CHUNK, workers)
 

@@ -129,6 +129,30 @@ def test_scalar_and_array_quaternions_agree():
         ('{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "workers": 0}', "workers"),
         ('[]', "object"),
         ('{"method": "cutoff"}', "map"),
+        # json.loads accepts NaN and Infinity; the parser must not
+        ('{"map": {"kind": "newton", "polynomial": [-1, 0, 0, NaN]}}', "map.polynomial"),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "lighting": {"lightDir": [NaN, 0, 1]}}',
+            "lighting.lightDir",
+        ),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "embedding": {"fixedValue": NaN}}',
+            "embedding.fixedValue",
+        ),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "region": {"min": [-2,-2,-2], "max": [2,Infinity,2], "resolution": [5,5,5]}}',
+            "region.max",
+        ),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "lighting": {"shininess": NaN}}',
+            "lighting.shininess",
+        ),
+        ('{"map": {"kind": "quadratic", "p": 1, "q": NaN}}', "map.q"),
+        pytest.param(
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "radius": 1' + "0" * 400 + "}",
+            "radius",
+            id="radius-integer-beyond-float-range",
+        ),
     ],
 )
 def test_validation_names_offending_key(text, needle):

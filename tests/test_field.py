@@ -67,6 +67,26 @@ def test_scan_corner_escapes_immediately():
     assert (out.kind, out.steps) == (OutcomeKind.ESCAPED, 1)
 
 
+def _final_norm_escapes(params):
+    """Escaped voxels of the criterion-4 grid (33^3 Newton scan).
+
+    Their orbits stay finite, so they are Escaped only because the final
+    iterate lies outside the ball; random seeds never reach that branch.
+    """
+    region = fld.Region3((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (33, 33, 33))
+    f = fld.scan(NEWTON, region, fld.DEFAULT_EMBEDDING, params)
+    iz, iy, ix = np.nonzero(f.tags == OutcomeKind.ESCAPED)
+    seeds = [
+        fld.embed(region, fld.DEFAULT_EMBEDDING, int(x), int(y), int(z))
+        for x, y, z in zip(ix, iy, iz)
+    ]
+    assert seeds
+    for s in seeds:
+        last = dyn.orbit_points(NEWTON, s, params.max_iter)[-1]
+        assert quat.is_finite(last) and quat.norm(last) > params.radius
+    return seeds
+
+
 def test_batch_matches_scalar_on_random_seeds():
     rng = random.Random(123)
     seeds = [
@@ -75,13 +95,19 @@ def test_batch_matches_scalar_on_random_seeds():
         )
         for _ in range(500)
     ]
-    for F, params in [(NEWTON, CO), (NEWTON, dyn.ClassifierParams(ClassifierMethod.ESCAPE_TIME, 4.0, 24)), (SQUARE, ET)]:
-        hr = np.array([s.r for s in seeds])
-        hm = np.array([s.m for s in seeds])
-        hn = np.array([s.n for s in seeds])
-        hp = np.array([s.p for s in seeds])
+    escape_r4 = dyn.ClassifierParams(ClassifierMethod.ESCAPE_TIME, 4.0, 24)
+    cases = [
+        (NEWTON, CO, seeds),
+        (NEWTON, escape_r4, seeds + _final_norm_escapes(escape_r4)),
+        (SQUARE, ET, seeds),
+    ]
+    for F, params, batch in cases:
+        hr = np.array([s.r for s in batch])
+        hm = np.array([s.m for s in batch])
+        hn = np.array([s.n for s in batch])
+        hp = np.array([s.p for s in batch])
         tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
-        for i, s in enumerate(seeds):
+        for i, s in enumerate(batch):
             want = dyn.classify(F, s, params)
             assert (OutcomeKind(int(tags[i])), int(steps[i])) == (want.kind, want.steps)
 

@@ -104,13 +104,16 @@ def test_all_miss_scene_black():
     assert not img.any()
 
 
-def test_fully_plotted_scene_hits_front_face():
+@pytest.mark.parametrize("view_axis", ["+z", "-x"])
+def test_fully_plotted_scene_hits_front_face(view_axis):
     ident = dyn.polynomial_map([0.0, 1.0])
     params = ClassifierParams(ClassifierMethod.CUTOFF_RATE, 1e-3, 10, 1)
-    cam = rnd.Camera("+z", (8, 8))
+    cam = rnd.Camera(view_axis, (8, 8))
     dm = rnd.cast_rays(ident, BOX33, EMB, params, cam)
     assert dm.hit.all()
     assert (dm.depth == 0.0).all()
+    # entrance-face hits are +0.0 on negative view axes too
+    assert not np.signbit(dm.depth).any()
     img = rnd.render_image(ident, BOX33, EMB, params, cam, HEADLIGHT)
     assert (img == 255).all()
 
@@ -135,9 +138,10 @@ def test_sphere_silhouette_and_depth():
     assert math.dist(n, (0.0, 0.0, 1.0)) < 0.05
 
 
-def test_cast_rays_matches_scalar_bisection_exactly():
+@pytest.mark.parametrize("k_refine", [0, 20])
+def test_cast_rays_matches_scalar_bisection_exactly(k_refine):
     cam = rnd.Camera("+z", (64, 64))
-    dm = rnd.cast_rays(SQUARE, BOX33, EMB, ET, cam, k_refine=20)
+    dm = rnd.cast_rays(SQUARE, BOX33, EMB, ET, cam, k_refine=k_refine)
     row, col = 32, 32
     du = 4.0 / 64
     u = -2.0 + (col + 0.5) * du
@@ -153,7 +157,7 @@ def test_cast_rays_matches_scalar_bisection_exactly():
             bracket = (prev, s)
             break
         prev = s
-    refined = fld.refine_bisect(SQUARE, bracket[0], bracket[1], ET, 20)
+    refined = fld.refine_bisect(SQUARE, bracket[0], bracket[1], ET, k_refine)
     assert dm.depth[row, col] == (refined.n - (-2.0)) * 1
     assert tuple(dm.points[row, col]) == tuple(refined)
 
