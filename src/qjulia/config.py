@@ -264,14 +264,9 @@ def _parse_lighting(data: Any) -> LightingParams:
         except ValueError as exc:
             raise ConfigError(f"lighting.lightDir: {exc}") from exc
     kwargs = {}
-    for name, key in (
-        ("ambient", "ambient"),
-        ("diffuse", "diffuse"),
-        ("specular", "specular"),
-        ("shininess", "shininess"),
-    ):
-        if key in data:
-            kwargs[name] = _number(data[key], f"lighting.{key}")
+    for name in ("ambient", "diffuse", "specular", "shininess"):
+        if name in data:
+            kwargs[name] = _number(data[name], f"lighting.{name}")
     try:
         return LightingParams(model, light_dir, **kwargs)
     except ValueError as exc:
@@ -340,12 +335,15 @@ def parse_config_data(data: Any) -> RenderConfig:
     )
 
 
-def parse_config(text: str) -> RenderConfig:
+def _load_json(text: str) -> Any:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return parse_config_data(data)
+
+
+def parse_config(text: str) -> RenderConfig:
+    return parse_config_data(_load_json(text))
 
 
 def _quat_json(q: Quaternion) -> list[float]:
@@ -413,10 +411,7 @@ def serialize_config(cfg: RenderConfig) -> str:
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(data, {"radii", "iterationCounts", "base"}, "")

@@ -269,22 +269,23 @@ class ClassificationField:
         return float(self.steps.mean())
 
 
-def run_chunks(
-    run: Callable[[int, int], None], total: int, size: int, workers: int
-) -> None:
-    """Call run(lo, hi) once for each size-long slice of range(total).
+def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> None:
+    """Call run(lo, hi) once for each _CHUNK-long slice of range(total).
 
-    The slices depend only on total and size, never on workers, so a run
-    that writes just its own slice of the output gives the same bytes for
-    any worker count.  The first error raised by a chunk, in slice order,
-    is re-raised.
+    _CHUNK is the one batch size: scan batches voxels and cast_rays
+    batches rays by flat pixel index, so a batch never grows with the
+    region or the image.  The slices depend only on total, never on
+    workers, and each lane's result depends only on its own seed, so a
+    run that writes just its own slice of the output gives the same bytes
+    for any worker count or partition.  The first error raised by a
+    chunk, in slice order, is re-raised.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(run, lo, min(lo + size, total))
-            for lo in range(0, total, size)
+            pool.submit(run, lo, min(lo + _CHUNK, total))
+            for lo in range(0, total, _CHUNK)
         ]
         try:
             for fut in futures:
@@ -320,7 +321,7 @@ def scan(
         hr, hm, hn, hp = _embed_batch(emb, xs, ys, zs)
         tags[lo:hi], steps[lo:hi] = _classify_batch(F, params, hr, hm, hn, hp)
 
-    run_chunks(run_chunk, total, _CHUNK, workers)
+    run_chunks(run_chunk, total, workers)
 
     return ClassificationField(
         region, emb, params, tags.reshape(nz, ny, nx), steps.reshape(nz, ny, nx)
@@ -356,18 +357,15 @@ def refine_bisect(
 
 def save_csv(field: ClassificationField, path) -> None:
     """Text dump, one voxel per row in x-fastest order."""
-    nx, ny, nz = field.region.resolution
-    flat_tags = field.tags.ravel()
-    flat_steps = field.steps.ravel()
+    iy, ix = np.indices(field.tags.shape[1:]).reshape(2, -1).tolist()
+    # tags are OutcomeKind values 0..3, so a tag indexes this list
+    labels = [OUTCOME_LABELS[kind] for kind in OutcomeKind]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("ix,iy,iz,outcome,steps\n")
-        i = 0
-        for iz in range(nz):
-            for iy in range(ny):
-                for ix in range(nx):
-                    label = OUTCOME_LABELS[OutcomeKind(int(flat_tags[i]))]
-                    fh.write(f"{ix},{iy},{iz},{label},{int(flat_steps[i])}\n")
-                    i += 1
+        # one z-layer at a time: whole-field Python lists cost ~12 MB at 65^3
+        for iz, (tags, steps) in enumerate(zip(field.tags, field.steps)):
+            rows = zip(ix, iy, tags.ravel().tolist(), steps.ravel().tolist())
+            fh.writelines(f"{x},{y},{iz},{labels[t]},{n}\n" for x, y, t, n in rows)
 
 
 def save_raw(field: ClassificationField, path) -> None:

@@ -26,8 +26,6 @@ import numpy as np
 from qjulia import field as fld
 from qjulia.dynamics import ClassifierParams, QRationalMap
 
-_ROW_CHUNK = 8
-
 _VIEW_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1), "+z": (2, 1), "-z": (2, -1)}
 
 
@@ -115,6 +113,11 @@ def cast_rays(
     depth zero (the surface starts on or before the entrance face, there
     is no bracket to refine).  Basin interiors behind the first hit are
     never revisited.
+
+    Rays are batched by flat pixel index (row * w + col) in the
+    _CHUNK-lane slices of fld.run_chunks, exactly as scan batches voxels,
+    so a batch may start or end mid-row.  Each ray's march and bisection
+    read only its own lanes, so any partition gives the same bytes.
     """
     axis, sign, u_axis, v_axis = _frame_axes(camera.view_axis)
     w, h = camera.image_size
@@ -135,10 +138,10 @@ def cast_rays(
     def layer_t(j):
         return region.min[axis] + j * da if sign > 0 else region.max[axis] - j * da
 
-    def run_rows(r0: int, r1: int) -> None:
-        rows = r1 - r0
-        u_flat = np.tile(us, rows)
-        v_flat = np.repeat(vs[r0:r1], w)
+    def run_pixels(lo: int, hi: int) -> None:
+        flat = np.arange(lo, hi)
+        u_flat = us[flat % w]
+        v_flat = vs[flat // w]
 
         def sample(lanes, ts):
             coords = [None, None, None]
@@ -150,8 +153,8 @@ def cast_rays(
             return q, steps, fld.plotted_bits(tags, steps, params)
 
         # march: record each ray's first plotted layer, -1 for a miss
-        first = np.full(rows * w, -1)
-        alive = np.arange(rows * w)
+        first = np.full(hi - lo, -1)
+        alive = np.arange(hi - lo)
         for j in range(na):
             if alive.size == 0:
                 break
@@ -175,14 +178,14 @@ def cast_rays(
         ts[bracketed] = (a_t + b_t) * 0.5
         q, steps, _ = sample(hits, ts)
 
-        out = (r0 + hits // w, hits % w)
+        out = np.divmod(lo + hits, w)
         hit[out] = True
         # a literal +0.0: (t0 - t0) * sign is -0.0 on the negative axes
         depth[out] = np.where(bracketed, (ts - t0) * sign, 0.0)
         points[out] = np.stack(q, axis=1)
         steps_at_hit[out] = steps
 
-    fld.run_chunks(run_rows, h, _ROW_CHUNK, workers)
+    fld.run_chunks(run_pixels, w * h, workers)
 
     return DepthMap(hit, depth, points, steps_at_hit, du, dv)
 
@@ -283,7 +286,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     if image.dtype != np.uint8:
         raise ValueError("image must be uint8")
     if image.ndim == 2:
-        image = np.repeat(image[:, :, None], 3, axis=2)
+        image = np.dstack((image, image, image))
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError("image must be (h, w) or (h, w, 3)")
     h, w = image.shape[:2]

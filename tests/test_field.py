@@ -124,9 +124,10 @@ def test_scan_worker_count_invariance():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_chunks_calls_each_slice_once_and_reraises(workers):
+def test_run_chunks_calls_each_slice_once_and_reraises(workers, monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
     seen = []
-    fld.run_chunks(lambda lo, hi: seen.append((lo, hi)), 10, 4, workers)
+    fld.run_chunks(lambda lo, hi: seen.append((lo, hi)), 10, workers)
     assert sorted(seen) == [(0, 4), (4, 8), (8, 10)]
 
     def fail_second(lo, hi):
@@ -134,7 +135,7 @@ def test_run_chunks_calls_each_slice_once_and_reraises(workers):
             raise RuntimeError("chunk 4..8 failed")
 
     with pytest.raises(RuntimeError, match="chunk 4..8 failed"):
-        fld.run_chunks(fail_second, 10, 4, workers)
+        fld.run_chunks(fail_second, 10, workers)
 
 
 def test_plotted_mask_matches_is_plotted():
@@ -196,6 +197,30 @@ def test_save_csv(tmp_path):
     ix, iy, iz, outcome, steps = lines[14].split(",")
     assert (ix, iy, iz) == ("1", "1", "1")
     assert outcome == "pole_hit" and steps == "1"
+
+
+def test_save_csv_order_and_labels_on_non_cubic_grid(tmp_path):
+    region = fld.Region3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 3, 2))
+    flat = np.arange(region.voxel_count)
+    f = fld.ClassificationField(
+        region,
+        fld.DEFAULT_EMBEDDING,
+        CO,
+        (flat % 4).astype(np.uint8).reshape(2, 3, 4),
+        (flat * 7 + 1).astype(np.uint32).reshape(2, 3, 4),
+    )
+    assert all(n > 0 for n in f.counts().values())
+    path = tmp_path / "field.csv"
+    fld.save_csv(f, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "ix,iy,iz,outcome,steps"
+    want = []
+    for iz in range(2):
+        for iy in range(3):
+            for ix in range(4):
+                o = f.outcome(ix, iy, iz)
+                want.append(f"{ix},{iy},{iz},{dyn.OUTCOME_LABELS[o.kind]},{o.steps}")
+    assert lines[1:] == want
 
 
 def test_save_load_raw(tmp_path):

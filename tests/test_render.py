@@ -164,7 +164,6 @@ def test_cast_rays_matches_scalar_bisection_exactly(k_refine):
 
 def test_render_deterministic_across_workers():
     light = rnd.LightingParams(rnd.LightModel.PHONG, rnd.normalize3((0.3, 0.4, 0.9)))
-    # 21 rows leave a last row chunk shorter than _ROW_CHUNK
     for size, workers in (((32, 32), 4), ((24, 21), 3)):
         cam = rnd.Camera("+z", size)
         base = rnd.render_image(NEWTON, BOX33, EMB, CO, cam, light, workers=1)
@@ -173,6 +172,24 @@ def test_render_deterministic_across_workers():
         assert np.array_equal(base, again)
         assert np.array_equal(base, multi)
         assert base.any()
+
+
+def _depth_map_bytes(dm):
+    arrays = (dm.hit, dm.depth, dm.points, dm.steps)
+    return tuple(a.tobytes() for a in arrays) + (dm.du, dm.dv)
+
+
+@pytest.mark.parametrize("view_axis", ["+z", "-x"])
+def test_cast_rays_chunks_split_rows(view_axis, monkeypatch):
+    # 24x21 = 504 rays in one default chunk; 37-lane chunks start and end
+    # mid-row and leave a ragged last chunk of 23 lanes
+    cam = rnd.Camera(view_axis, (24, 21))
+    base = _depth_map_bytes(rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5))
+    monkeypatch.setattr(fld, "_CHUNK", 37)
+    for workers in (1, 3):
+        dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
+        assert _depth_map_bytes(dm) == base
+    assert dm.hit.any() and not dm.hit.all()
 
 
 def test_view_axis_symmetry_hit_counts():
