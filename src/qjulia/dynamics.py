@@ -7,14 +7,19 @@ steps before successive iterates fall within distance r of each other).
 The second one needs no knowledge of attractor locations, which is what
 makes basin boundaries of Newton maps renderable.
 
-The inner loops here are mirrored by vectorized batch code in
-``qjulia.field``; keep expression order in sync between the two, the
-renderer relies on the scalar and batch paths agreeing bit for bit.
+The scalar orbit loop runs on bare floats (r, m, n, p); ``Quaternion``
+appears only at the public edges (``eval_poly``, ``eval_map`` and the
+``last`` field of an outcome).  ``_eval_poly`` and ``_eval_map`` mirror
+``field._eval_poly_batch`` and ``field._step_batch`` line for line, and
+``classify`` mirrors ``field._classify_batch``; keep expression order in
+sync between the two, the renderer relies on the scalar and batch paths
+agreeing bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -95,23 +100,48 @@ def rational_map(
     )
 
 
+def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
+    # Horner, mirrored by field._eval_poly_batch
+    ar, am, an, ap = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        r = ar * hr - am * hm - an * hn - ap * hp
+        m = ar * hm + am * hr + an * hp - ap * hn
+        n = ar * hn - am * hp + an * hr + ap * hm
+        p = ar * hp + am * hn - an * hm + ap * hr
+        c = coeffs[k]
+        ar = r + c.r
+        am = m + c.m
+        an = n + c.n
+        ap = p + c.p
+    return ar, am, an, ap
+
+
+def _eval_map(F: QRationalMap, hr, hm, hn, hp):
+    # One map application, mirrored by field._step_batch
+    nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
+    dr, dm, dn, dp = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
+    ns = dr * dr + dm * dm + dn * dn + dp * dp
+    if not ns > quat.EPS_DIV:
+        raise PoleError(f"denominator vanished at {Quaternion(hr, hm, hn, hp)}")
+    ir = dr / ns
+    im = -dm / ns
+    in_ = -dn / ns
+    ip = -dp / ns
+    br = nr * ir - nm * im - nn * in_ - npp * ip
+    bm = nr * im + nm * ir + nn * ip - npp * in_
+    bn = nr * in_ - nm * ip + nn * ir + npp * im
+    bp = nr * ip + nm * in_ - nn * im + npp * ir
+    return br, bm, bn, bp
+
+
 def eval_poly(f: QPolynomial, h: Quaternion) -> Quaternion:
     """Evaluate by Horner's rule; coefficients stay on the left of the powers."""
-    acc = f.coeffs[-1]
-    for k in range(len(f.coeffs) - 2, -1, -1):
-        acc = quat.add(quat.mul(acc, h), f.coeffs[k])
-    return acc
+    return Quaternion(*_eval_poly(f.coeffs, *h))
 
 
 def eval_map(F: QRationalMap, h: Quaternion) -> Quaternion:
     """P(h) * Q(h)^-1, division realized as right-multiplication by the inverse."""
-    num = eval_poly(F.numerator, h)
-    den = eval_poly(F.denominator, h)
-    try:
-        inv = quat.inverse(den)
-    except quat.DivisionByNearZero as exc:
-        raise PoleError(f"denominator vanished at {h}") from exc
-    return quat.mul(num, inv)
+    return Quaternion(*_eval_map(F, *h))
 
 
 def newton_transform(f: QPolynomial) -> QRationalMap:
@@ -194,24 +224,40 @@ def classify(F: QRationalMap, seed: Quaternion, params: ClassifierParams) -> Orb
     are Indeterminate, which downstream plotting treats as on-boundary.
     """
     escape = params.method is ClassifierMethod.ESCAPE_TIME
-    prev = seed
+    radius = params.radius
+    pr, pm, pn, pp = seed
     first_out = 0
     for n in range(1, params.max_iter + 1):
         try:
-            cur = eval_map(F, prev)
+            br, bm, bn, bp = _eval_map(F, pr, pm, pn, pp)
         except PoleError:
             return OrbitOutcome(OutcomeKind.POLE_HIT, n)
-        if not quat.is_finite(cur):
+        finite = (
+            math.isfinite(br)
+            and math.isfinite(bm)
+            and math.isfinite(bn)
+            and math.isfinite(bp)
+        )
+        if not finite:
             return OrbitOutcome(OutcomeKind.ESCAPED, first_out if first_out else n)
         if escape:
-            if first_out == 0 and quat.norm(cur) > params.radius:
-                first_out = n
-        elif quat.distance(cur, prev) < params.radius:
-            return OrbitOutcome(OutcomeKind.CONVERGED, n, cur)
-        prev = cur
-    if escape and quat.norm(prev) > params.radius:
+            if first_out == 0:
+                norm = math.sqrt(br * br + bm * bm + bn * bn + bp * bp)
+                if norm > radius:
+                    first_out = n
+        else:
+            dr = br - pr
+            dm = bm - pm
+            dn = bn - pn
+            dp = bp - pp
+            dist = math.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
+            if dist < radius:
+                return OrbitOutcome(OutcomeKind.CONVERGED, n, Quaternion(br, bm, bn, bp))
+        pr, pm, pn, pp = br, bm, bn, bp
+    if escape and math.sqrt(pr * pr + pm * pm + pn * pn + pp * pp) > radius:
         return OrbitOutcome(OutcomeKind.ESCAPED, first_out)
-    return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, prev)
+    last = Quaternion(pr, pm, pn, pp)
+    return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, last)
 
 
 def is_plotted(outcome: OrbitOutcome, params: ClassifierParams) -> bool:

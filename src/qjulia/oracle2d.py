@@ -93,17 +93,31 @@ def cmap(num: Sequence[ComplexLike], den: Sequence[ComplexLike] = (1.0,)) -> CMa
     )
 
 
-def eval_cpoly(coeffs: tuple[Complex, ...], z: Complex) -> Complex:
-    acc = coeffs[-1]
+def _eval_cpoly(coeffs: tuple[Complex, ...], x: float, y: float) -> tuple[float, float]:
+    ar, ai = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
-        acc = c_add(c_mul(acc, z), coeffs[k])
-    return acc
+        c = coeffs[k]
+        ar, ai = ar * x - ai * y + c.re, ar * y + ai * x + c.im
+    return ar, ai
+
+
+def _eval_cmap(F: CMap, x: float, y: float) -> tuple[float, float]:
+    nr, ni = _eval_cpoly(F.numerator, x, y)
+    dr, di = _eval_cpoly(F.denominator, x, y)
+    ns = dr * dr + di * di
+    if not ns > EPS_DIV:
+        raise Pole2d(f"norm_sq={ns!r}")
+    ir = dr / ns
+    ii = -di / ns
+    return nr * ir - ni * ii, nr * ii + ni * ir
+
+
+def eval_cpoly(coeffs: tuple[Complex, ...], z: Complex) -> Complex:
+    return Complex(*_eval_cpoly(coeffs, *z))
 
 
 def eval_cmap(F: CMap, z: Complex) -> Complex:
-    num = eval_cpoly(F.numerator, z)
-    den = eval_cpoly(F.denominator, z)
-    return c_mul(num, c_inv(den))
+    return Complex(*_eval_cmap(F, *z))
 
 
 class Outcome2d(NamedTuple):
@@ -114,34 +128,37 @@ class Outcome2d(NamedTuple):
 
 def classify2d(F: CMap, seed: Complex, params: ClassifierParams) -> Outcome2d:
     """Complex twin of dynamics.classify; same decision rules throughout."""
+    radius = params.radius
     if params.method is ClassifierMethod.ESCAPE_TIME:
-        z = seed
+        x, y = seed
         first_out = 0
         for n in range(1, params.max_iter + 1):
             try:
-                z = eval_cmap(F, z)
+                x, y = _eval_cmap(F, x, y)
             except Pole2d:
                 return Outcome2d(OutcomeKind.POLE_HIT, n)
-            if not c_finite(z):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 return Outcome2d(OutcomeKind.ESCAPED, first_out if first_out else n)
-            if first_out == 0 and c_abs(z) > params.radius:
+            if first_out == 0 and math.sqrt(x * x + y * y) > radius:
                 first_out = n
-        if c_abs(z) > params.radius:
+        if math.sqrt(x * x + y * y) > radius:
             return Outcome2d(OutcomeKind.ESCAPED, first_out)
-        return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, z)
+        return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, Complex(x, y))
 
-    prev = seed
+    px, py = seed
     for n in range(1, params.max_iter + 1):
         try:
-            cur = eval_cmap(F, prev)
+            x, y = _eval_cmap(F, px, py)
         except Pole2d:
             return Outcome2d(OutcomeKind.POLE_HIT, n)
-        if not c_finite(cur):
+        if not (math.isfinite(x) and math.isfinite(y)):
             return Outcome2d(OutcomeKind.ESCAPED, n)
-        if c_dist(cur, prev) < params.radius:
-            return Outcome2d(OutcomeKind.CONVERGED, n, cur)
-        prev = cur
-    return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, prev)
+        dx = x - px
+        dy = y - py
+        if math.sqrt(dx * dx + dy * dy) < radius:
+            return Outcome2d(OutcomeKind.CONVERGED, n, Complex(x, y))
+        px, py = x, y
+    return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, Complex(px, py))
 
 
 def is_plotted2d(outcome: Outcome2d, params: ClassifierParams) -> bool:

@@ -1,9 +1,14 @@
 
+import random
+import struct
+
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
 import pytest
 
 from qjulia import dynamics as dyn
+from qjulia import field as fld
 from qjulia import quat
 from qjulia.quat import Quaternion
 
@@ -11,6 +16,35 @@ from qjulia.quat import Quaternion
 CUBIC = dyn.QPolynomial.from_coeffs([-1.0, 0.0, 0.0, 1.0])
 NEWTON = dyn.newton_transform(CUBIC)
 SQUARE = dyn.quadratic_map(1.0, 0.0)
+
+# Numerator and denominator both carry i, j and k parts, so every
+# component of every Horner add and product is exercised.  On seeds in
+# [-1, 1]^4, QUAT_CUBIC gives Escaped and Indeterminate under escape time
+# and Converged and overflow-Escaped under cut-off rate; QUAT_NEWTON, a
+# perturbed Newton map for h^3 - 1, keeps orbits bounded and gives
+# Converged and Indeterminate under cut-off rate.
+QUAT_CUBIC = dyn.rational_map(
+    [
+        Quaternion(0.1, -0.2, 0.05, 0.1),
+        Quaternion(0.2, 0.1, -0.1, 0.05),
+        Quaternion(0.3, -0.1, 0.2, 0.1),
+        Quaternion(1.0, 0.2, -0.1, 0.3),
+    ],
+    [Quaternion(1.0, 0.1, -0.1, 0.2), Quaternion(0.1, 0.2, -0.15, 0.1)],
+)
+QUAT_NEWTON = dyn.rational_map(
+    [
+        Quaternion(1.0, 0.05, 0.0, -0.05),
+        Quaternion(0.0, 0.03, -0.02, 0.01),
+        0.0,
+        Quaternion(2.0, 0.1, -0.1, 0.05),
+    ],
+    [
+        Quaternion(0.0, 0.02, 0.01, -0.03),
+        Quaternion(0.0, 0.05, 0.02, 0.0),
+        Quaternion(3.0, 0.1, 0.0, -0.1),
+    ],
+)
 
 components = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 seeds = st.builds(Quaternion, components, components, components, components)
@@ -203,3 +237,65 @@ def test_orbit_points():
     blown = dyn.orbit_points(SQUARE, Quaternion(10, 0, 0, 0), 500)
     assert not quat.is_finite(blown[-1])
     assert all(quat.is_finite(p) for p in blown[:-1])
+
+
+def _reference_classify(F, seed, params):
+    """The Quaternion-per-operation orbit loop, kept as the reference."""
+
+    def horner(f, h):
+        acc = f.coeffs[-1]
+        for k in range(len(f.coeffs) - 2, -1, -1):
+            acc = quat.add(quat.mul(acc, h), f.coeffs[k])
+        return acc
+
+    escape = params.method is dyn.ClassifierMethod.ESCAPE_TIME
+    prev = seed
+    first_out = 0
+    for n in range(1, params.max_iter + 1):
+        try:
+            inv = quat.inverse(horner(F.denominator, prev))
+        except quat.DivisionByNearZero:
+            return dyn.OrbitOutcome(dyn.OutcomeKind.POLE_HIT, n)
+        cur = quat.mul(horner(F.numerator, prev), inv)
+        if not quat.is_finite(cur):
+            return dyn.OrbitOutcome(dyn.OutcomeKind.ESCAPED, first_out if first_out else n)
+        if escape:
+            if first_out == 0 and quat.norm(cur) > params.radius:
+                first_out = n
+        elif quat.distance(cur, prev) < params.radius:
+            return dyn.OrbitOutcome(dyn.OutcomeKind.CONVERGED, n, cur)
+        prev = cur
+    if escape and quat.norm(prev) > params.radius:
+        return dyn.OrbitOutcome(dyn.OutcomeKind.ESCAPED, first_out)
+    return dyn.OrbitOutcome(dyn.OutcomeKind.INDETERMINATE, params.max_iter, prev)
+
+
+def _bits(q):
+    return None if q is None else struct.pack("<4d", *q)
+
+
+def test_classify_matches_reference_on_quaternion_coefficients():
+    rng = random.Random(2024)
+    seeds = [Quaternion(*(rng.uniform(-1, 1) for _ in range(4))) for _ in range(300)]
+    hr, hm, hn, hp = (np.array(c) for c in zip(*seeds))
+    kinds = set()
+    for F in (QUAT_CUBIC, QUAT_NEWTON):
+        assert not F.numerator.is_real and not F.denominator.is_real
+        for params in (
+            dyn.ClassifierParams(dyn.ClassifierMethod.ESCAPE_TIME, 2.0, 24),
+            dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1e-3, 50, 25),
+        ):
+            outs = [dyn.classify(F, s, params) for s in seeds]
+            for s, out in zip(seeds, outs):
+                want = _reference_classify(F, s, params)
+                assert (out.kind, out.steps) == (want.kind, want.steps)
+                assert _bits(out.last) == _bits(want.last)
+            tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
+            assert tags.tolist() == [o.kind for o in outs]
+            assert steps.tolist() == [o.steps for o in outs]
+            kinds.update(o.kind for o in outs)
+    assert {
+        dyn.OutcomeKind.CONVERGED,
+        dyn.OutcomeKind.ESCAPED,
+        dyn.OutcomeKind.INDETERMINATE,
+    } <= kinds

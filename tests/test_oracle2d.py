@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +139,26 @@ def test_write_pgm(tmp_path):
     payload = data[len(b"P5\n3 2\n255\n"):]
     assert len(payload) == 6
     assert payload == bytes([0, 0, 0, 255, 0, 0])
+
+
+def test_oracle_shares_no_quaternion_code():
+    # the cross-check is only independent if its arithmetic is its own:
+    # no qjulia.quat, and from qjulia.dynamics only the record types
+    allowed = {
+        ("qjulia.dynamics", "ClassifierMethod"),
+        ("qjulia.dynamics", "ClassifierParams"),
+        ("qjulia.dynamics", "OutcomeKind"),
+    }
+    imported = set()
+    tree = ast.parse(Path(orc.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "qjulia", alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "qjulia." + module if module else "qjulia"
+            if module.split(".")[0] == "qjulia":
+                imported |= {(module, alias.name) for alias in node.names}
+    assert imported and imported <= allowed, imported - allowed
