@@ -11,9 +11,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 from pathlib import Path
+from typing import Callable
 
 from qjulia import field, oracle2d, render
 from qjulia.config import ConfigError, RenderConfig, parse_config, parse_sweep
@@ -33,12 +36,45 @@ def _effective_workers(cfg: RenderConfig, override) -> int:
     return os.cpu_count() or 1
 
 
-def _dump_field(fld: field.ClassificationField, path: str) -> None:
-    if path.endswith(".csv"):
-        field.save_csv(fld, path)
-    else:
-        field.save_raw(fld, path)
+class _Staged(os.PathLike):
+    """Path of an output under construction: a sibling temp file until the
+    rename, the target itself afterwards, so a caller that kept the path
+    handed to a writer (a tracer sizing its output) finds the written file."""
+
+    def __init__(self, target: str) -> None:
+        self.target = target
+        head, tail = os.path.split(target)
+        self.current = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+
+    def __fspath__(self) -> str:
+        return self.current
+
+
+def _write_output(path, write: Callable[[os.PathLike], None]) -> None:
+    """Run write(tmp) on a sibling temp file, then os.replace it onto path.
+
+    The temp file is created with open()'s default 0o666-minus-umask mode,
+    or the mode of the file it replaces, as writing in place would leave
+    it.  If write fails, the temp file is removed and path is untouched.
+    """
+    staged = _Staged(os.fspath(path))
+    os.close(os.open(staged.current, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(staged.target, staged.current)
+        write(staged)
+        os.replace(staged.current, staged.target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(staged.current)
+        raise
+    staged.current = staged.target
     print(f"wrote {path}")
+
+
+def _dump_field(fld: field.ClassificationField, path: str) -> None:
+    save = field.save_csv if path.endswith(".csv") else field.save_raw
+    _write_output(path, lambda tmp: save(fld, tmp))
 
 
 def _render_to(
@@ -55,8 +91,7 @@ def _render_to(
         workers=workers,
         palette=cfg.palette,
     )
-    render.write_ppm(path, image)
-    print(f"wrote {path}")
+    _write_output(path, lambda tmp: render.write_ppm(tmp, image))
 
 
 def run_render(args) -> int:
@@ -96,8 +131,7 @@ def run_slice(args) -> int:
     bits = oracle2d.render_slice2d(
         _complex_section(cfg.map.build()), window, resolution, cfg.params
     )
-    oracle2d.write_pgm(out, bits)
-    print(f"wrote {out}")
+    _write_output(out, lambda tmp: oracle2d.write_pgm(tmp, bits))
     return 0
 
 
@@ -117,10 +151,12 @@ def run_sweep(args) -> int:
     out = args.out or str(Path(base.output_path).with_suffix(".csv"))
     out_path = Path(out)
     F = base.map.build()
+    cells = spec.cells()
+    cell_params = [spec.cell_params(radius, max_iter) for radius, max_iter in cells]
+    # one orbit pass per voxel answers every cell
+    stack = field.scan(F, base.region, base.embedding, cell_params, workers=workers)
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
-    for radius, max_iter in spec.cells():
-        params = spec.cell_params(radius, max_iter)
-        fld = field.scan(F, base.region, base.embedding, params, workers=workers)
+    for (radius, max_iter), fld in zip(cells, stack.fields):
         plotted, escaped, converged, mean_steps = _sweep_row(fld)
         lines.append(
             f"{radius:g},{max_iter},{plotted:.6f},{escaped:.6f},"
@@ -130,10 +166,14 @@ def run_sweep(args) -> int:
             cell = out_path.with_name(
                 f"{out_path.stem}_r{radius:g}_it{max_iter}.ppm"
             )
-            _render_to(cell, F, base, params, workers)
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {out}")
+            _render_to(cell, F, base, fld.params, workers)
+    text = "\n".join(lines) + "\n"
+
+    def write_csv(tmp) -> None:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+
+    _write_output(out, write_csv)
     return 0
 
 
@@ -176,8 +216,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"
+    except KeyboardInterrupt:
+        message = "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ The scalar orbit loop runs on bare floats (r, m, n, p); ``Quaternion``
 appears only at the public edges (``eval_poly``, ``eval_map`` and the
 ``last`` field of an outcome).  ``_eval_poly`` and ``_eval_map`` mirror
 ``field._eval_poly_batch`` and ``field._step_batch`` line for line, and
-``classify`` mirrors ``field._classify_batch``; keep expression order in
-sync between the two, the renderer relies on the scalar and batch paths
-agreeing bit for bit.
+``classify`` mirrors ``field._classify_batch``, the one-cell case of the
+batch loop ``field._classify_cells`` (which answers several (radius,
+max_iter) cells from one orbit pass for a sweep); keep expression order
+in sync between the two, the renderer relies on the scalar and batch
+paths agreeing bit for bit.
 """
 
 from __future__ import annotations

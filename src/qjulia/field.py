@@ -7,6 +7,13 @@ this module replays ``dynamics.classify`` expression by expression so
 that scalar and vectorized classification agree bit for bit; that exact
 agreement is what makes scan results independent of the worker count.
 
+The batch classifier is one orbit loop over a list of (radius, max_iter)
+cells that share a method: a scan given several ClassifierParams (a
+sweep) iterates each voxel once, to the largest max_iter, and reads
+every cell's outcome from per-radius first-step records.  Its one-cell
+case, ``_classify_batch``, is the line-for-line mirror of ``classify``
+that ``scan`` and the renderer use for a single parameter set.
+
 Workers split the flat voxel index space into fixed-size chunks and
 write disjoint slices of the output arrays, so no locking is needed and
 the chunk boundaries never depend on how many workers run.
@@ -17,7 +24,7 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +42,6 @@ from qjulia.dynamics import (
 
 _CHUNK = 4096
 _MAGIC = b"QJF1"
-_PENDING = np.uint8(255)
 
 _COMPONENTS = ("r", "m", "n", "p")
 
@@ -118,7 +124,7 @@ def _embed_batch(emb: Embedding, xs, ys, zs):
 
 
 def _eval_poly_batch(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    # Horner, mirroring dynamics.eval_poly
+    # Horner, mirroring dynamics._eval_poly
     c = coeffs[-1]
     ar = np.full_like(hr, c.r)
     am = np.full_like(hr, c.m)
@@ -155,46 +161,58 @@ def _step_batch(F: QRationalMap, hr, hm, hn, hp):
     return br, bm, bn, bp, pole
 
 
-def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
-    """Vectorized dynamics.classify over component arrays.
+def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn, hp):
+    """Vectorized dynamics.classify for several (radius, max_iter) cells at once.
 
-    Mirrors the scalar function's single orbit loop: pole and overflow
-    bookkeeping is shared, and only the per-step test branches on the
-    method (escape time records each lane's first step outside the ball
-    and decides on the final iterate's norm; cut-off rate retires lanes
-    at the first |p_n - p_{n-1}| < radius).
+    The orbit does not depend on the radius, and a cell with a smaller
+    max_iter sees a prefix of the longest orbit, so one pass to the
+    largest max_iter answers every cell.  Per lane the loop records the
+    step of a pole or overflow; per distinct radius, the first step
+    outside the ball (escape time) or the first step with
+    |p_n - p_{n-1}| < radius (cut-off rate, where a lane retires once its
+    smallest radius converges, since every larger one has then converged
+    too); and, for escape time, the norm at each distinct max_iter.  Each
+    cell's tag and step are then read off those records exactly as
+    classify would have decided them.  With one cell the per-step numpy
+    ops are those of classify's loop, which this function mirrors.
 
-    Returns (tags uint8, steps uint32).  Lanes drop out of the working
-    set as they resolve; per-lane values never depend on other lanes, so
-    any partition of seeds into batches gives identical results.
+    Returns (tags uint8, steps uint32), both shaped (len(cells), count).
+    Lanes drop out of the working set as they resolve; per-lane values
+    never depend on other lanes, so any partition of seeds into batches
+    gives identical results.
     """
     count = hr.size
-    tags = np.full(count, _PENDING, dtype=np.uint8)
-    steps = np.zeros(count, dtype=np.uint32)
+    escape = method is ClassifierMethod.ESCAPE_TIME
+    radii = sorted({radius for radius, _ in cells})
+    iters = sorted({max_iter for _, max_iter in cells})
+    first = [np.zeros(count, dtype=np.uint32) for _ in radii]
+    # NaN where a lane ended before that step, and NaN > radius is False
+    norm_at = {m: np.full(count, np.nan) for m in iters} if escape else {}
+    ended = np.zeros(count, dtype=np.uint32)
+    ended_tag = np.empty(count, dtype=np.uint8)
     idx = np.arange(count)
-    escape = params.method is ClassifierMethod.ESCAPE_TIME
-    first_out = np.zeros(count, dtype=np.uint32)
 
     prev = (hr, hm, hn, hp)
-    for n in range(1, params.max_iter + 1):
+    for n in range(1, iters[-1] + 1):
         br, bm, bn, bp, pole = _step_batch(F, *prev)
         finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
         blown = ~finite & ~pole
         if pole.any():
-            tags[idx[pole]] = OutcomeKind.POLE_HIT
-            steps[idx[pole]] = n
+            ended[idx[pole]] = n
+            ended_tag[idx[pole]] = OutcomeKind.POLE_HIT
         if blown.any():
-            g = idx[blown]
-            fo = first_out[g]
-            tags[g] = OutcomeKind.ESCAPED
-            steps[g] = np.where(fo != 0, fo, n)
+            ended[idx[blown]] = n
+            ended_tag[idx[blown]] = OutcomeKind.ESCAPED
         keep = finite & ~pole
         if escape:
             with np.errstate(all="ignore"):
                 norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
-            newly = keep & (first_out[idx] == 0) & (norm > params.radius)
-            if newly.any():
-                first_out[idx[newly]] = n
+            for radius, first_out in zip(radii, first):
+                newly = keep & (first_out[idx] == 0) & (norm > radius)
+                if newly.any():
+                    first_out[idx[newly]] = n
+            if n in norm_at:
+                norm_at[n][idx[keep]] = norm[keep]
         else:
             with np.errstate(all="ignore"):
                 dr = br - prev[0]
@@ -202,26 +220,54 @@ def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
                 dn = bn - prev[2]
                 dp = bp - prev[3]
                 dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
-                conv = keep & (dist < params.radius)
-            if conv.any():
-                tags[idx[conv]] = OutcomeKind.CONVERGED
-                steps[idx[conv]] = n
-            keep &= ~conv
+                # a live lane has not converged at the smallest radius yet
+                retire = keep & (dist < radii[0])
+            if retire.any():
+                first[0][idx[retire]] = n
+            for radius, first_conv in zip(radii[1:], first[1:]):
+                conv = keep & (first_conv[idx] == 0) & (dist < radius)
+                if conv.any():
+                    first_conv[idx[conv]] = n
+            keep &= ~retire
         idx = idx[keep]
         if idx.size == 0:
             break
         prev = (br[keep], bm[keep], bn[keep], bp[keep])
-    if escape and idx.size:
-        pr, pm, pn, pp = prev
-        with np.errstate(over="ignore"):
-            out = np.sqrt(pr * pr + pm * pm + pn * pn + pp * pp) > params.radius
-        g = idx[out]
-        tags[g] = OutcomeKind.ESCAPED
-        steps[g] = first_out[g]
-        idx = idx[~out]
-    tags[idx] = OutcomeKind.INDETERMINATE
-    steps[idx] = params.max_iter
+
+    tags = np.empty((len(cells), count), dtype=np.uint8)
+    steps = np.empty((len(cells), count), dtype=np.uint32)
+    for cell, (radius, max_iter) in enumerate(cells):
+        hit = first[radii.index(radius)]
+        tag, step = tags[cell], steps[cell]
+        tag[:] = OutcomeKind.INDETERMINATE
+        step[:] = max_iter
+        if escape:
+            out = norm_at[max_iter] > radius
+            tag[out] = OutcomeKind.ESCAPED
+            step[out] = hit[out]
+        done = (ended != 0) & (ended <= max_iter)
+        tag[done] = ended_tag[done]
+        step[done] = ended[done]
+        if escape:
+            # overflow reports the first step outside the ball, if any
+            late = done & (ended_tag == OutcomeKind.ESCAPED) & (hit != 0)
+            step[late] = hit[late]
+        else:
+            conv = (hit != 0) & (hit <= max_iter)
+            tag[conv] = OutcomeKind.CONVERGED
+            step[conv] = hit[conv]
     return tags, steps
+
+
+def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
+    """Vectorized dynamics.classify: the one-cell case of _classify_cells.
+
+    Returns (tags uint8, steps uint32) shaped like hr.
+    """
+    tags, steps = _classify_cells(
+        F, params.method, [(params.radius, params.max_iter)], hr, hm, hn, hp
+    )
+    return tags[0], steps[0]
 
 
 def plotted_bits(tags: np.ndarray, steps: np.ndarray, params: ClassifierParams) -> np.ndarray:
@@ -269,6 +315,28 @@ class ClassificationField:
         return float(self.steps.mean())
 
 
+@dataclass
+class FieldStack:
+    """The ClassificationFields of several cells from one scan.
+
+    tags and steps are shaped (cells, nz, ny, nx); fields[i] is cell i's
+    ClassificationField, a view of those arrays with params[i].
+    """
+
+    region: Region3
+    embedding: Embedding
+    params: tuple[ClassifierParams, ...]
+    tags: np.ndarray
+    steps: np.ndarray
+
+    @property
+    def fields(self) -> list[ClassificationField]:
+        return [
+            ClassificationField(self.region, self.embedding, p, t, s)
+            for p, t, s in zip(self.params, self.tags, self.steps)
+        ]
+
+
 def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> None:
     """Call run(lo, hi) once for each _CHUNK-long slice of range(total).
 
@@ -300,14 +368,28 @@ def scan(
     F: QRationalMap,
     region: Region3,
     emb: Embedding,
-    params: ClassifierParams,
+    params: ClassifierParams | Sequence[ClassifierParams],
     workers: int = 1,
-) -> ClassificationField:
-    """Classify every voxel of the region; same bytes for any worker count."""
+) -> ClassificationField | FieldStack:
+    """Classify every voxel of the region; same bytes for any worker count.
+
+    One ClassifierParams gives a ClassificationField.  A sequence of them
+    (one shared method; radii and max_iter in any order, repeats allowed)
+    gives a FieldStack with one cell per entry, all answered by a single
+    orbit pass per voxel, with the same tags and steps as separate scans.
+    """
+    single = isinstance(params, ClassifierParams)
+    cells = (params,) if single else tuple(params)
+    if not cells:
+        raise ValueError("scan needs at least one ClassifierParams")
+    method = cells[0].method
+    if any(p.method is not method for p in cells):
+        raise ValueError("all cells of one scan must share a classifier method")
+    radius_iter = [(p.radius, p.max_iter) for p in cells]
     nx, ny, nz = region.resolution
     total = region.voxel_count
-    tags = np.empty(total, dtype=np.uint8)
-    steps = np.empty(total, dtype=np.uint32)
+    tags = np.empty((len(cells), total), dtype=np.uint8)
+    steps = np.empty((len(cells), total), dtype=np.uint32)
     dx, dy, dz = region.step(0), region.step(1), region.step(2)
 
     def run_chunk(lo: int, hi: int) -> None:
@@ -319,13 +401,15 @@ def scan(
         ys = region.min[1] + iy.astype(np.float64) * dy
         zs = region.min[2] + iz.astype(np.float64) * dz
         hr, hm, hn, hp = _embed_batch(emb, xs, ys, zs)
-        tags[lo:hi], steps[lo:hi] = _classify_batch(F, params, hr, hm, hn, hp)
+        tags[:, lo:hi], steps[:, lo:hi] = _classify_cells(
+            F, method, radius_iter, hr, hm, hn, hp
+        )
 
     run_chunks(run_chunk, total, workers)
 
-    return ClassificationField(
-        region, emb, params, tags.reshape(nz, ny, nx), steps.reshape(nz, ny, nx)
-    )
+    shape = (len(cells), nz, ny, nx)
+    stack = FieldStack(region, emb, cells, tags.reshape(shape), steps.reshape(shape))
+    return stack.fields[0] if single else stack
 
 
 def refine_bisect(

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from qjulia import field, render
 from qjulia.cli import main
+from qjulia.config import parse_sweep
+from qjulia.dynamics import OutcomeKind
 from qjulia.field import load_raw
 
 
@@ -149,6 +153,118 @@ def test_sweep_no_images(tmp_path):
     assert main(["sweep", cfg, "--no-images"]) == 0
     assert (tmp_path / "sweep.csv").exists()
     assert not list(tmp_path.glob("*.ppm"))
+
+
+def test_cutoff_sweep_rows_match_separate_scans(tmp_path):
+    base = {
+        "map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]},
+        "method": "cutoff",
+        "cutoffCount": 6,
+        "region": {"min": [-2, -2, -2], "max": [2, 2, 2], "resolution": [11, 11, 11]},
+        "outputPath": str(tmp_path / "sweep.csv"),
+    }
+    spec = {"radii": [0.01, 1e-4, 0.01, 0.5], "iterationCounts": [30, 1, 8], "base": base}
+    cfg = write_cfg(tmp_path, "sweep.json", spec)
+    assert main(["sweep", cfg, "--no-images", "--workers", "2"]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+
+    sweep = parse_sweep(json.dumps(spec))
+    b = sweep.base
+    F = b.map.build()
+    want = []
+    for radius, max_iter in sweep.cells():
+        fld = field.scan(F, b.region, b.embedding, sweep.cell_params(radius, max_iter))
+        want.append(
+            f"{radius:g},{max_iter},{fld.fraction_plotted():.6f},"
+            f"{fld.fraction(OutcomeKind.ESCAPED):.6f},"
+            f"{fld.fraction(OutcomeKind.CONVERGED):.6f},{fld.mean_steps():.6f}"
+        )
+    assert rows == want
+
+
+def _raises(exc):
+    def layer(*args, **kwargs):
+        raise exc
+
+    return layer
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory"),
+    (KeyboardInterrupt(), "error: interrupted"),
+])
+@pytest.mark.parametrize("command", ["render", "sweep"])
+def test_memory_error_and_interrupt_end_in_one_error_line(
+    tmp_path, capsys, monkeypatch, exc, message, command
+):
+    cfg = tiny_newton(tmp_path)
+    if command == "sweep":
+        base = json.loads((tmp_path / "job.json").read_text())
+        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    layer = (render, "render_image") if command == "render" else (field, "scan")
+    monkeypatch.setattr(*layer, _raises(exc))
+    assert main([command, cfg, "--workers", "1"]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def _half_writer(exc):
+    """A writer that puts some bytes into its file, then raises."""
+
+    def write(path, *args):
+        with open(path, "wb") as fh:
+            fh.write(b"P6\n24 24\n255\n")
+            raise exc
+
+    return write
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()])
+def test_failed_writer_leaves_no_output_and_no_temp_file(tmp_path, capsys, monkeypatch, exc):
+    cfg = tiny_newton(tmp_path)
+    monkeypatch.setattr(render, "write_ppm", _half_writer(exc))
+    assert main(["render", cfg, "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+def test_failed_writer_keeps_previous_output(tmp_path, monkeypatch):
+    cfg = tiny_newton(tmp_path)
+    dump = tmp_path / "field.csv"
+    assert main(["render", cfg, "--workers", "1", "--dump-field", str(dump)]) == 0
+    before = dump.read_bytes()
+    monkeypatch.setattr(field, "save_csv", lambda fld, path: _half_writer(OSError("full"))(path))
+    assert main(["render", cfg, "--workers", "1", "--dump-field", str(dump)]) == 1
+    assert dump.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv", "job.json", "out.ppm"]
+
+
+def test_path_handed_to_a_writer_names_the_output_afterwards(tmp_path, monkeypatch):
+    # perfbench's tracer keeps save_csv's path argument and sizes that file later
+    seen = []
+    save_csv = field.save_csv
+
+    def spy(fld, path):
+        seen.append(path)
+        save_csv(fld, path)
+
+    monkeypatch.setattr(field, "save_csv", spy)
+    dump = tmp_path / "field.csv"
+    assert main(["render", tiny_newton(tmp_path), "--workers", "1", "--dump-field", str(dump)]) == 0
+    assert os.fspath(seen[0]) == str(dump)
+    assert os.path.getsize(seen[0]) == dump.stat().st_size > 0
+
+
+def test_outputs_keep_the_file_mode_of_a_plain_open(tmp_path):
+    cfg = tiny_newton(tmp_path)
+    plain = tmp_path / "plain"
+    open(plain, "wb").close()
+    assert main(["render", cfg, "--workers", "1"]) == 0
+    out = tmp_path / "out.ppm"
+    assert os.stat(out).st_mode == os.stat(plain).st_mode
+    # rewriting an existing output keeps its mode, as writing in place did
+    os.chmod(out, 0o640)
+    assert main(["render", cfg, "--workers", "1"]) == 0
+    assert os.stat(out).st_mode & 0o777 == 0o640
 
 
 def test_missing_config_file_fails(tmp_path, capsys):

@@ -123,6 +123,72 @@ def test_scan_worker_count_invariance():
         fld.scan(NEWTON, region, fld.DEFAULT_EMBEDDING, CO, workers=0)
 
 
+# h^2 + 1/h: a pole at the origin, and orbits far from it overflow
+POLE_OVERFLOW = dyn.rational_map([1.0, 0.0, 0.0, 1.0], [0.0, 1.0])
+# both grids hold the origin (a pole of each map) at their centre voxel
+CELL_GRIDS = {
+    "newton-33": (NEWTON, fld.Region3((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (33, 33, 33))),
+    "pole-overflow-17": (
+        POLE_OVERFLOW, fld.Region3((-3.0, -3.0, -3.0), (3.0, 3.0, 3.0), (17, 17, 17))
+    ),
+}
+# unsorted radii and counts, a repeated cell, and max_iter 1
+CELLS = [(2.0, 12), (1e-3, 5), (2.0, 12), (0.5, 1), (1e-3, 24), (4.0, 7)]
+
+
+def _cells(method):
+    return [ClassifierParams(method, radius, max_iter) for radius, max_iter in CELLS]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("method", list(ClassifierMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("grid", sorted(CELL_GRIDS))
+def test_scan_over_cells_matches_separate_scans(grid, method, workers):
+    F, region = CELL_GRIDS[grid]
+    cells = _cells(method)
+    stack = fld.scan(F, region, fld.DEFAULT_EMBEDDING, cells, workers=workers)
+    nx, ny, nz = region.resolution
+    assert stack.tags.shape == stack.steps.shape == (len(cells), nz, ny, nx)
+    assert len(stack.fields) == len(cells)
+    for params, got in zip(cells, stack.fields):
+        want = fld.scan(F, region, fld.DEFAULT_EMBEDDING, params, workers=workers)
+        assert got.params == params
+        assert np.array_equal(got.tags, want.tags)
+        assert np.array_equal(got.steps, want.steps)
+    centre = (nz // 2, ny // 2, nx // 2)
+    assert (stack.tags[(slice(None),) + centre] == OutcomeKind.POLE_HIT).all()
+    if F is POLE_OVERFLOW and method is ClassifierMethod.CUTOFF_RATE:
+        # cut-off rate has no ball, so these all come from overflow
+        assert (stack.tags == OutcomeKind.ESCAPED).any()
+
+
+@pytest.mark.parametrize("method", list(ClassifierMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("grid", sorted(CELL_GRIDS))
+def test_scan_over_cells_matches_scalar_classify(grid, method):
+    F, region = CELL_GRIDS[grid]
+    cells = _cells(method)
+    stack = fld.scan(F, region, fld.DEFAULT_EMBEDDING, cells, workers=2)
+    nx, ny, nz = region.resolution
+    rng = random.Random(f"{grid}:{method.value}")
+    escaped = np.flatnonzero((stack.tags == OutcomeKind.ESCAPED).any(axis=0))
+    sample = rng.sample(range(region.voxel_count), 120) + [region.voxel_count // 2]
+    sample += [int(i) for i in escaped[:: max(1, escaped.size // 20)]]
+    for flat in sample:
+        ix, iy, iz = flat % nx, (flat // nx) % ny, flat // (nx * ny)
+        seed = fld.embed(region, fld.DEFAULT_EMBEDDING, ix, iy, iz)
+        for c, params in enumerate(cells):
+            want = dyn.classify(F, seed, params)
+            got = (OutcomeKind(int(stack.tags[c, iz, iy, ix])), int(stack.steps[c, iz, iy, ix]))
+            assert got == (want.kind, want.steps), (flat, params)
+
+
+def test_scan_over_cells_rejects_empty_and_mixed_methods():
+    with pytest.raises(ValueError):
+        fld.scan(NEWTON, BOX, fld.DEFAULT_EMBEDDING, [])
+    with pytest.raises(ValueError):
+        fld.scan(NEWTON, BOX, fld.DEFAULT_EMBEDDING, [CO, ET])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_chunks_calls_each_slice_once_and_reraises(workers, monkeypatch):
     monkeypatch.setattr(fld, "_CHUNK", 4)
