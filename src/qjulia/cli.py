@@ -33,7 +33,7 @@ def _effective_workers(cfg: RenderConfig, override) -> int:
         return override
     if cfg.workers is not None:
         return cfg.workers
-    return os.cpu_count() or 1
+    return 1
 
 
 class _Staged(os.PathLike):

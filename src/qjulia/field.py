@@ -340,13 +340,14 @@ class FieldStack:
 def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> None:
     """Call run(lo, hi) once for each _CHUNK-long slice of range(total).
 
-    _CHUNK is the one batch size: scan batches voxels and cast_rays
-    batches rays by flat pixel index, so a batch never grows with the
-    region or the image.  The slices depend only on total, never on
-    workers, and each lane's result depends only on its own seed, so a
-    run that writes just its own slice of the output gives the same bytes
-    for any worker count or partition.  The first error raised by a
-    chunk, in slice order, is re-raised.
+    _CHUNK is the one batch size: scan batches voxels, and cast_rays
+    batches pixels (by flat index) for its march, then hits for its
+    refine, so a batch never grows with the region or the image.  The
+    slices depend only on total, never on workers, and each lane's
+    result depends only on its own seed, so a run that writes just its
+    own slice of the output gives the same bytes for any worker count or
+    partition.  The first error raised by a chunk, in slice order, is
+    re-raised.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

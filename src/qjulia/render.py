@@ -114,10 +114,12 @@ def cast_rays(
     is no bracket to refine).  Basin interiors behind the first hit are
     never revisited.
 
-    Rays are batched by flat pixel index (row * w + col) in the
-    _CHUNK-lane slices of fld.run_chunks, exactly as scan batches voxels,
-    so a batch may start or end mid-row.  Each ray's march and bisection
-    read only its own lanes, so any partition gives the same bytes.
+    Two fld.run_chunks passes do the work: the march batches rays by
+    flat pixel index (row * w + col), exactly as scan batches voxels, and
+    records each ray's first plotted layer; the refine then batches the
+    hits, bisects each bracket and takes the final sample.  A batch may
+    start or end mid-row.  Every lane reads only its own ray, so any
+    partition of pixels or hits gives the same bytes.
     """
     axis, sign, u_axis, v_axis = _frame_axes(camera.view_axis)
     w, h = camera.image_size
@@ -130,31 +132,26 @@ def cast_rays(
     us = region.min[u_axis] + (np.arange(w, dtype=np.float64) + 0.5) * du
     vs = region.min[v_axis] + (np.arange(h, dtype=np.float64)[::-1] + 0.5) * dv
 
-    hit = np.zeros((h, w), dtype=bool)
-    depth = np.full((h, w), np.inf)
-    points = np.zeros((h, w, 4))
-    steps_at_hit = np.zeros((h, w), dtype=np.uint32)
+    # each ray's first plotted layer, -1 for a miss
+    first = np.full(w * h, -1)
+    depth = np.full(w * h, np.inf)
+    points = np.zeros((w * h, 4))
+    steps_at_hit = np.zeros(w * h, dtype=np.uint32)
 
     def layer_t(j):
         return region.min[axis] + j * da if sign > 0 else region.max[axis] - j * da
 
-    def run_pixels(lo: int, hi: int) -> None:
-        flat = np.arange(lo, hi)
-        u_flat = us[flat % w]
-        v_flat = vs[flat // w]
+    def sample(pix, ts):
+        coords = [None, None, None]
+        coords[axis] = ts
+        coords[u_axis] = us[pix % w]
+        coords[v_axis] = vs[pix // w]
+        q = fld._embed_batch(emb, *coords)
+        tags, steps = fld._classify_batch(F, params, *q)
+        return q, steps, fld.plotted_bits(tags, steps, params)
 
-        def sample(lanes, ts):
-            coords = [None, None, None]
-            coords[axis] = ts
-            coords[u_axis] = u_flat[lanes]
-            coords[v_axis] = v_flat[lanes]
-            q = fld._embed_batch(emb, *coords)
-            tags, steps = fld._classify_batch(F, params, *q)
-            return q, steps, fld.plotted_bits(tags, steps, params)
-
-        # march: record each ray's first plotted layer, -1 for a miss
-        first = np.full(hi - lo, -1)
-        alive = np.arange(hi - lo)
+    def march(lo: int, hi: int) -> None:
+        alive = np.arange(lo, hi)
         for j in range(na):
             if alive.size == 0:
                 break
@@ -162,11 +159,16 @@ def cast_rays(
             first[alive[plotted]] = j
             alive = alive[~plotted]
 
+    fld.run_chunks(march, w * h, workers)
+    hit = first >= 0
+    hits = np.flatnonzero(hit)
+
+    def refine(lo: int, hi: int) -> None:
         # bisect between the last unplotted and the first plotted layer;
         # layer-0 hits have no bracket and stay on the entrance face
-        hits = np.flatnonzero(first >= 0)
-        bracketed = first[hits] > 0
-        g = hits[bracketed]
+        pix = hits[lo:hi]
+        bracketed = first[pix] > 0
+        g = pix[bracketed]
         a_t = layer_t(first[g] - 1)
         b_t = layer_t(first[g])
         for _ in range(k_refine):
@@ -174,20 +176,20 @@ def cast_rays(
             plotted = sample(g, mid)[2]
             b_t = np.where(plotted, mid, b_t)
             a_t = np.where(plotted, a_t, mid)
-        ts = layer_t(first[hits])
+        ts = layer_t(first[pix])
         ts[bracketed] = (a_t + b_t) * 0.5
-        q, steps, _ = sample(hits, ts)
-
-        out = np.divmod(lo + hits, w)
-        hit[out] = True
+        q, steps, _ = sample(pix, ts)
         # a literal +0.0: (t0 - t0) * sign is -0.0 on the negative axes
-        depth[out] = np.where(bracketed, (ts - t0) * sign, 0.0)
-        points[out] = np.stack(q, axis=1)
-        steps_at_hit[out] = steps
+        depth[pix] = np.where(bracketed, (ts - t0) * sign, 0.0)
+        points[pix] = np.stack(q, axis=1)
+        steps_at_hit[pix] = steps
 
-    fld.run_chunks(run_pixels, w * h, workers)
+    fld.run_chunks(refine, hits.size, workers)
 
-    return DepthMap(hit, depth, points, steps_at_hit, du, dv)
+    return DepthMap(
+        hit.reshape(h, w), depth.reshape(h, w), points.reshape(h, w, 4),
+        steps_at_hit.reshape(h, w), du, dv,
+    )
 
 
 def estimate_normal(dm: DepthMap, row: int, col: int) -> tuple[float, float, float]:
@@ -263,21 +265,18 @@ def render_image(
         img = np.zeros((h, w), dtype=np.uint8)
     else:
         img = np.zeros((h, w, 3), dtype=np.uint8)
-    for row in range(h):
-        for col in range(w):
-            if not dm.hit[row, col]:
-                continue
-            intensity = shade(estimate_normal(dm, row, col), lighting)
-            if palette == "gray":
-                img[row, col] = int(intensity * 255.0 + 0.5)
-            else:
-                hue = (int(dm.steps[row, col]) % 32) / 32.0
-                r, g, b = colorsys.hsv_to_rgb(hue, 1.0, intensity)
-                img[row, col] = (
-                    int(r * 255.0 + 0.5),
-                    int(g * 255.0 + 0.5),
-                    int(b * 255.0 + 0.5),
-                )
+    for row, col in zip(*np.nonzero(dm.hit)):
+        intensity = shade(estimate_normal(dm, row, col), lighting)
+        if palette == "gray":
+            img[row, col] = int(intensity * 255.0 + 0.5)
+        else:
+            hue = (int(dm.steps[row, col]) % 32) / 32.0
+            r, g, b = colorsys.hsv_to_rgb(hue, 1.0, intensity)
+            img[row, col] = (
+                int(r * 255.0 + 0.5),
+                int(g * 255.0 + 0.5),
+                int(b * 255.0 + 0.5),
+            )
     return img
 
 

@@ -71,6 +71,22 @@ def test_render_deterministic_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_workers_default_to_one_not_the_cpu_count(tmp_path, monkeypatch):
+    seen = []
+    render_image = render.render_image
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return render_image(*args, **kwargs)
+
+    monkeypatch.setattr(render, "render_image", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert main(["render", tiny_newton(tmp_path)]) == 0
+    assert main(["render", tiny_newton(tmp_path, workers=3)]) == 0
+    assert main(["render", tiny_newton(tmp_path, workers=3), "--workers", "2"]) == 0
+    assert seen == [1, 3, 2]
+
+
 def test_slice_unit_disc(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -181,15 +181,48 @@ def _depth_map_bytes(dm):
 
 @pytest.mark.parametrize("view_axis", ["+z", "-x"])
 def test_cast_rays_chunks_split_rows(view_axis, monkeypatch):
-    # 24x21 = 504 rays in one default chunk; 37-lane chunks start and end
-    # mid-row and leave a ragged last chunk of 23 lanes
+    # 24x21 = 504 rays in one default chunk; 37-lane march chunks start and
+    # end mid-row and leave a ragged last chunk of 23 lanes.  The -x hits
+    # split into refine chunks of 37, 37 and 4; the +z hits fit in one.
     cam = rnd.Camera(view_axis, (24, 21))
     base = _depth_map_bytes(rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5))
     monkeypatch.setattr(fld, "_CHUNK", 37)
     for workers in (1, 3):
         dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
         assert _depth_map_bytes(dm) == base
-    assert dm.hit.any() and not dm.hit.all()
+    assert int(dm.hit.sum()) == {"+z": 23, "-x": 78}[view_axis]
+
+
+@pytest.mark.parametrize("view_axis", ["+z", "-x"])
+def test_cast_rays_lanes_are_march_bisection_and_final_sample(view_axis, monkeypatch):
+    # the work behind perfbench's render.march_lanes and bisect_lanes, for
+    # any worker count or partition.  Lanes, not calls: batching may change
+    # the number of calls but not the samples taken.
+    lanes = []
+    classify = fld._classify_batch
+
+    def counting(F, params, hr, hm, hn, hp):
+        lanes.append(hr.size)
+        return classify(F, params, hr, hm, hn, hp)
+
+    monkeypatch.setattr(fld, "_classify_batch", counting)
+    cam = rnd.Camera(view_axis, (24, 21))
+    axis = "xyz".index(view_axis[1])
+    for chunk in (fld._CHUNK, 37):
+        monkeypatch.setattr(fld, "_CHUNK", chunk)
+        for workers in (1, 3):
+            lanes.clear()
+            dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
+            # each hit's first plotted layer, read as perfbench's march_counts
+            depth = dm.depth[dm.hit]
+            first = np.where(depth == 0.0, 0, np.floor(depth / BOX33.step(axis)) + 1)
+            misses = dm.hit.size - depth.size
+            march = misses * BOX33.resolution[axis] + int((first + 1).sum())
+            bisection = int((first > 0).sum()) * 5
+            assert sum(lanes) == march + bisection + depth.size
+    # +z has entrance-face hits, which must stay out of the bisection
+    assert (first == 0).any() == (view_axis == "+z")
+    assert (first > 0).any()
 
 
 def test_view_axis_symmetry_hit_counts():
