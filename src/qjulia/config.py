@@ -129,6 +129,12 @@ def _vector(v: Any, key: str, length: int) -> tuple:
     return tuple(_number(c, key) for c in v)
 
 
+def _integers(v: Any, key: str, length: int) -> tuple:
+    if not isinstance(v, list) or len(v) != length:
+        raise ConfigError(f"{key}: expected an array of {length} integers")
+    return tuple(_integer(c, key) for c in v)
+
+
 def _check_keys(data: dict, allowed: set[str], ctx: str) -> None:
     for k in data:
         if k not in allowed:
@@ -204,10 +210,7 @@ def _parse_region(data: Any) -> Region3:
     _check_keys(data, {"min", "max", "resolution"}, "region.")
     mn = _vector(_need(data, "min", "region."), "region.min", 3)
     mx = _vector(_need(data, "max", "region."), "region.max", 3)
-    raw_res = _need(data, "resolution", "region.")
-    if not isinstance(raw_res, list) or len(raw_res) != 3:
-        raise ConfigError("region.resolution: expected an array of 3 integers")
-    res = tuple(_integer(c, "region.resolution") for c in raw_res)
+    res = _integers(_need(data, "resolution", "region."), "region.resolution", 3)
     try:
         return Region3(mn, mx, res)
     except ValueError as exc:
@@ -233,11 +236,9 @@ def _parse_camera(data: Any) -> Camera:
         raise ConfigError("camera: expected an object")
     _check_keys(data, {"viewAxis", "imageSize"}, "camera.")
     axis = data.get("viewAxis", "+z")
-    size = data.get("imageSize", [128, 128])
-    if not isinstance(size, list) or len(size) != 2:
-        raise ConfigError("camera.imageSize: expected [width, height]")
+    size = _integers(data.get("imageSize", [128, 128]), "camera.imageSize", 2)
     try:
-        return Camera(axis, tuple(_integer(c, "camera.imageSize") for c in size))
+        return Camera(axis, size)
     except ValueError as exc:
         raise ConfigError(f"camera: {exc}") from exc
 
@@ -314,10 +315,7 @@ def parse_config_data(data: Any) -> RenderConfig:
         if "window" in sl:
             slice_window = _vector(sl["window"], "slice.window", 4)
         if "resolution" in sl:
-            raw = sl["resolution"]
-            if not isinstance(raw, list) or len(raw) != 2:
-                raise ConfigError("slice.resolution: expected [nx, ny]")
-            slice_resolution = tuple(_integer(c, "slice.resolution") for c in raw)
+            slice_resolution = _integers(sl["resolution"], "slice.resolution", 2)
 
     return RenderConfig(
         map=map_spec,

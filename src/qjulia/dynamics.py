@@ -7,15 +7,17 @@ steps before successive iterates fall within distance r of each other).
 The second one needs no knowledge of attractor locations, which is what
 makes basin boundaries of Newton maps renderable.
 
-The scalar orbit loop runs on bare floats (r, m, n, p); ``Quaternion``
-appears only at the public edges (``eval_poly``, ``eval_map`` and the
-``last`` field of an outcome).  ``_eval_poly`` and ``_eval_map`` mirror
-``field._eval_poly_batch`` and ``field._step_batch`` line for line, and
-``classify`` mirrors ``field._classify_batch``, the one-cell case of the
-batch loop ``field._classify_cells`` (which answers several (radius,
-max_iter) cells from one orbit pass for a sweep); keep expression order
-in sync between the two, the renderer relies on the scalar and batch
-paths agreeing bit for bit.
+The per-seed arithmetic exists once, here, and runs on Python floats
+and on float64 arrays alike: ``_eval_poly`` (Horner), ``_divide`` (right
+division by the denominator) and ``plotted_bits`` (the plotted rule).
+The same operations in the same order give the same IEEE results on
+either, so ``field._step_batch`` calls them for a whole batch of lanes.
+Only the orbit loops are twinned: ``classify`` runs on bare floats
+(r, m, n, p), with ``Quaternion`` only at the public edges, and
+``field._classify_cells`` is its batch mirror (its one-cell case,
+``field._classify_batch``, is what scans and renders use).  Keep the
+two loops' decisions in sync; the renderer relies on the scalar and
+batch paths agreeing bit for bit.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def rational_map(
 
 
 def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    # Horner, mirrored by field._eval_poly_batch
+    # Horner on floats or on arrays (field._step_batch); a one-coefficient
+    # polynomial returns the coefficient's floats whatever h is
     ar, am, an, ap = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         r = ar * hr - am * hm - an * hn - ap * hp
@@ -119,12 +122,17 @@ def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
 
 
 def _eval_map(F: QRationalMap, hr, hm, hn, hp):
-    # One map application, mirrored by field._step_batch
+    # one map application on floats; field._step_batch is the batch form
     nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
     dr, dm, dn, dp = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
     ns = dr * dr + dm * dm + dn * dn + dp * dp
     if not ns > quat.EPS_DIV:
         raise PoleError(f"denominator vanished at {Quaternion(hr, hm, hn, hp)}")
+    return _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns)
+
+
+def _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns):
+    """n * d^-1 given ns = |d|^2; the caller has ruled out (or masks) poles."""
     ir = dr / ns
     im = -dm / ns
     in_ = -dn / ns
@@ -262,20 +270,25 @@ def classify(F: QRationalMap, seed: Quaternion, params: ClassifierParams) -> Orb
     return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, last)
 
 
-def is_plotted(outcome: OrbitOutcome, params: ClassifierParams) -> bool:
-    """Whether a classified seed belongs to the rendered set.
+def plotted_bits(kind, steps, params: ClassifierParams):
+    """Whether outcomes belong to the rendered set, on ints or arrays alike.
 
-    Escape time plots the non-escaping interior.  Cut-off rate plots
-    never-settling orbits plus the slowly converging ones (steps at or
-    above cutoff_count), which together hug the basin boundaries.
+    kind and steps are an outcome's OutcomeKind and step count, or arrays
+    of tags and steps.  Escape time plots the non-escaping interior.
+    Cut-off rate plots never-settling orbits plus the slowly converging
+    ones (steps at or above cutoff_count), which together hug the basin
+    boundaries.  Pole hits and escapes are never plotted.
     """
-    if outcome.kind is OutcomeKind.POLE_HIT or outcome.kind is OutcomeKind.ESCAPED:
-        return False
     if params.method is ClassifierMethod.ESCAPE_TIME:
-        return outcome.kind is OutcomeKind.INDETERMINATE
-    if outcome.kind is OutcomeKind.INDETERMINATE:
-        return True
-    return outcome.steps >= params.cutoff_count
+        return kind == OutcomeKind.INDETERMINATE
+    return (kind == OutcomeKind.INDETERMINATE) | (
+        (kind == OutcomeKind.CONVERGED) & (steps >= params.cutoff_count)
+    )
+
+
+def is_plotted(outcome: OrbitOutcome, params: ClassifierParams) -> bool:
+    """Whether a classified seed belongs to the rendered set (plotted_bits)."""
+    return bool(plotted_bits(outcome.kind, outcome.steps, params))
 
 
 def orbit_points(F: QRationalMap, seed: Quaternion, steps: int) -> list[Quaternion]:

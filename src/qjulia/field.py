@@ -2,17 +2,21 @@
 
 Grid points (voxel corners, min + i*delta) are embedded into quaternion
 space, classified in vectorized batches, and collected into a
-ClassificationField of outcome tags and step counts.  The batch code in
-this module replays ``dynamics.classify`` expression by expression so
-that scalar and vectorized classification agree bit for bit; that exact
-agreement is what makes scan results independent of the worker count.
+ClassificationField of outcome tags and step counts.  The batch code
+calls the per-seed arithmetic of ``dynamics`` (``_eval_poly``,
+``_divide``, ``plotted_bits``) on whole arrays of lanes, and
+``embed_coords`` and ``_embed_batch`` share one component assignment,
+so the only code written twice is the orbit loop: ``_classify_cells``
+mirrors ``dynamics.classify`` decision for decision.  Scalar and
+vectorized classification agree bit for bit; that exact agreement is
+what makes scan results independent of the worker count.
 
 The batch classifier is one orbit loop over a list of (radius, max_iter)
 cells that share a method: a scan given several ClassifierParams (a
 sweep) iterates each voxel once, to the largest max_iter, and reads
 every cell's outcome from per-radius first-step records.  Its one-cell
-case, ``_classify_batch``, is the line-for-line mirror of ``classify``
-that ``scan`` and the renderer use for a single parameter set.
+case, ``_classify_batch``, is the mirror of ``classify`` that ``scan``
+and the renderer use for a single parameter set.
 
 Workers split the flat voxel index space into fixed-size chunks and
 write disjoint slices of the output arrays, so no locking is needed and
@@ -99,12 +103,18 @@ class Embedding:
 DEFAULT_EMBEDDING = Embedding()
 
 
-def embed_coords(emb: Embedding, x: float, y: float, z: float) -> Quaternion:
-    parts = {emb.fixed_component: emb.fixed_value}
+def _embed(emb: Embedding, x, y, z, fixed):
+    """(r, m, n, p) with x, y, z on emb.axes and fixed on the fourth
+    component; floats or like-shaped arrays alike."""
+    parts = {emb.fixed_component: fixed}
     parts[emb.axes[0]] = x
     parts[emb.axes[1]] = y
     parts[emb.axes[2]] = z
-    return Quaternion(parts["r"], parts["m"], parts["n"], parts["p"])
+    return parts["r"], parts["m"], parts["n"], parts["p"]
+
+
+def embed_coords(emb: Embedding, x: float, y: float, z: float) -> Quaternion:
+    return Quaternion(*_embed(emb, x, y, z, emb.fixed_value))
 
 
 def embed(region: Region3, emb: Embedding, ix: int, iy: int, iz: int) -> Quaternion:
@@ -115,50 +125,28 @@ def embed(region: Region3, emb: Embedding, ix: int, iy: int, iz: int) -> Quatern
 
 def _embed_batch(emb: Embedding, xs, ys, zs):
     """Array version of embed_coords; returns the four component arrays."""
-    fixed = np.full_like(xs, emb.fixed_value)
-    parts = {emb.fixed_component: fixed}
-    parts[emb.axes[0]] = xs
-    parts[emb.axes[1]] = ys
-    parts[emb.axes[2]] = zs
-    return parts["r"], parts["m"], parts["n"], parts["p"]
-
-
-def _eval_poly_batch(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    # Horner, mirroring dynamics._eval_poly
-    c = coeffs[-1]
-    ar = np.full_like(hr, c.r)
-    am = np.full_like(hr, c.m)
-    an = np.full_like(hr, c.n)
-    ap = np.full_like(hr, c.p)
-    for k in range(len(coeffs) - 2, -1, -1):
-        r = ar * hr - am * hm - an * hn - ap * hp
-        m = ar * hm + am * hr + an * hp - ap * hn
-        n = ar * hn - am * hp + an * hr + ap * hm
-        p = ar * hp + am * hn - an * hm + ap * hr
-        c = coeffs[k]
-        ar = r + c.r
-        am = m + c.m
-        an = n + c.n
-        ap = p + c.p
-    return ar, am, an, ap
+    return _embed(emb, xs, ys, zs, np.full_like(xs, emb.fixed_value))
 
 
 def _step_batch(F: QRationalMap, hr, hm, hn, hp):
-    """One map application on a batch; returns components plus pole mask."""
+    """One map application on a batch; returns components plus pole mask.
+
+    dynamics._eval_map is the scalar form; here a pole lane divides by
+    its near-zero norm under errstate and is masked instead of raised.
+    """
     with np.errstate(all="ignore"):
-        nr, nm, nn, npp = _eval_poly_batch(F.numerator.coeffs, hr, hm, hn, hp)
-        dr, dm, dn, dp = _eval_poly_batch(F.denominator.coeffs, hr, hm, hn, hp)
+        nr, nm, nn, npp = dynamics._eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
+        den = dynamics._eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
+        # a one-coefficient denominator (the 1 below a polynomial map) is
+        # floats; filled to lane shape, the pole mask and results are arrays
+        # and the division is numpy's, which errstate covers
+        dr, dm, dn, dp = (
+            d if isinstance(d, np.ndarray) else np.full_like(hr, d) for d in den
+        )
         ns = dr * dr + dm * dm + dn * dn + dp * dp
-        pole = ~(ns > EPS_DIV)
-        ir = dr / ns
-        im = -dm / ns
-        in_ = -dn / ns
-        ip = -dp / ns
-        br = nr * ir - nm * im - nn * in_ - npp * ip
-        bm = nr * im + nm * ir + nn * ip - npp * in_
-        bn = nr * in_ - nm * ip + nn * ir + npp * im
-        bp = nr * ip + nm * in_ - nn * im + npp * ir
-    return br, bm, bn, bp, pole
+        # not ns > EPS_DIV, so that a NaN norm is a pole too
+        pole = np.logical_not(ns > EPS_DIV)
+        return (*dynamics._divide(nr, nm, nn, npp, dr, dm, dn, dp, ns), pole)
 
 
 def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn, hp):
@@ -270,15 +258,6 @@ def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
     return tags[0], steps[0]
 
 
-def plotted_bits(tags: np.ndarray, steps: np.ndarray, params: ClassifierParams) -> np.ndarray:
-    """Array form of dynamics.is_plotted over outcome tags and step counts."""
-    if params.method is ClassifierMethod.ESCAPE_TIME:
-        return tags == OutcomeKind.INDETERMINATE
-    return (tags == OutcomeKind.INDETERMINATE) | (
-        (tags == OutcomeKind.CONVERGED) & (steps >= params.cutoff_count)
-    )
-
-
 @dataclass
 class ClassificationField:
     """Per-voxel outcome tags and step counts, shaped (nz, ny, nx).
@@ -300,7 +279,7 @@ class ClassificationField:
 
     def plotted_mask(self) -> np.ndarray:
         """Boolean array of dynamics.is_plotted applied voxelwise."""
-        return plotted_bits(self.tags, self.steps, self.params)
+        return dynamics.plotted_bits(self.tags, self.steps, self.params)
 
     def counts(self) -> dict[OutcomeKind, int]:
         return {kind: int((self.tags == kind).sum()) for kind in OutcomeKind}

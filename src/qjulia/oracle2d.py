@@ -47,29 +47,6 @@ def as_complex(v: ComplexLike) -> Complex:
     return Complex(float(v), 0.0)
 
 
-def c_add(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re + b.re, a.im + b.im)
-
-
-def c_sub(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re - b.re, a.im - b.im)
-
-
-def c_mul(a: Complex, b: Complex) -> Complex:
-    return Complex(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
-
-
-def c_inv(a: Complex) -> Complex:
-    ns = a.re * a.re + a.im * a.im
-    if not ns > EPS_DIV:
-        raise Pole2d(f"norm_sq={ns!r}")
-    return Complex(a.re / ns, -a.im / ns)
-
-
-def c_abs(a: Complex) -> float:
-    return math.sqrt(a.re * a.re + a.im * a.im)
-
-
 def c_dist(a: Complex, b: Complex) -> float:
     dr = a.re - b.re
     di = a.im - b.im

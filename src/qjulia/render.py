@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qjulia import field as fld
-from qjulia.dynamics import ClassifierParams, QRationalMap
+from qjulia.dynamics import ClassifierParams, QRationalMap, plotted_bits
 
 _VIEW_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1), "+z": (2, 1), "-z": (2, -1)}
 
@@ -148,7 +148,7 @@ def cast_rays(
         coords[v_axis] = vs[pix // w]
         q = fld._embed_batch(emb, *coords)
         tags, steps = fld._classify_batch(F, params, *q)
-        return q, steps, fld.plotted_bits(tags, steps, params)
+        return q, steps, plotted_bits(tags, steps, params)
 
     def march(lo: int, hi: int) -> None:
         alive = np.arange(lo, hi)

@@ -148,6 +148,14 @@ def test_scalar_and_array_quaternions_agree():
             "lighting.shininess",
         ),
         ('{"map": {"kind": "quadratic", "p": 1, "q": NaN}}', "map.q"),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "camera": {"imageSize": [64]}}',
+            "camera.imageSize",
+        ),
+        (
+            '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "slice": {"resolution": [1.5, 2]}}',
+            "slice.resolution",
+        ),
         pytest.param(
             '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "radius": 1' + "0" * 400 + "}",
             "radius",

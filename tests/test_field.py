@@ -96,10 +96,16 @@ def test_batch_matches_scalar_on_random_seeds():
         for _ in range(500)
     ]
     escape_r4 = dyn.ClassifierParams(ClassifierMethod.ESCAPE_TIME, 4.0, 24)
+    # one-coefficient numerator and denominator: both evaluate to floats
+    constant = dyn.rational_map([0.5], [2.0])
+    # 3h^2 overflows to inf - inf, so |Q(h)|^2 is NaN, which is a pole
+    nan_norm = Quaternion(1e200, 1e200, 0.0, 0.0)
     cases = [
-        (NEWTON, CO, seeds),
+        (NEWTON, CO, seeds + [nan_norm]),
         (NEWTON, escape_r4, seeds + _final_norm_escapes(escape_r4)),
         (SQUARE, ET, seeds),
+        (constant, CO, seeds),
+        (constant, ET, seeds),
     ]
     for F, params, batch in cases:
         hr = np.array([s.r for s in batch])

@@ -25,18 +25,6 @@ CO = ClassifierParams(ClassifierMethod.CUTOFF_RATE, 1e-3, 50, 25)
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
-def test_arith_basics():
-    a = Complex(1.0, 2.0)
-    b = Complex(3.0, -1.0)
-    assert orc.c_mul(a, b) == Complex(5.0, 5.0)
-    assert orc.c_add(a, b) == Complex(4.0, 1.0)
-    assert orc.c_abs(Complex(3.0, 4.0)) == 5.0
-    inv = orc.c_inv(Complex(0.0, 2.0))
-    assert inv == Complex(0.0, -0.5)
-    with pytest.raises(orc.Pole2d):
-        orc.c_inv(orc.C_ZERO)
-
-
 def test_classify2d_escape_example():
     out = orc.classify2d(SQUARE_C, Complex(2.0, 0.0), ET2)
     assert (out.kind, out.steps) == (OutcomeKind.ESCAPED, 1)
