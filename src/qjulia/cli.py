@@ -28,14 +28,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _effective_workers(cfg: RenderConfig, override) -> int:
-    if override is not None:
-        return override
-    if cfg.workers is not None:
-        return cfg.workers
-    return 1
-
-
 class _Staged(os.PathLike):
     """Path of an output under construction: a sibling temp file until the
     rename, the target itself afterwards, so a caller that kept the path
@@ -96,12 +88,11 @@ def _render_to(
 
 def run_render(args) -> int:
     cfg = parse_config(_read_text(args.config))
-    workers = _effective_workers(cfg, args.workers)
     out = args.out or cfg.output_path
     F = cfg.map.build()
-    _render_to(out, F, cfg, cfg.params, workers)
+    _render_to(out, F, cfg, cfg.params, args.workers)
     if args.dump_field:
-        fld = field.scan(F, cfg.region, cfg.embedding, cfg.params, workers=workers)
+        fld = field.scan(F, cfg.region, cfg.embedding, cfg.params, workers=args.workers)
         _dump_field(fld, args.dump_field)
     return 0
 
@@ -147,14 +138,13 @@ def _sweep_row(fld: field.ClassificationField) -> tuple[float, float, float, flo
 def run_sweep(args) -> int:
     spec = parse_sweep(_read_text(args.config))
     base = spec.base
-    workers = _effective_workers(base, args.workers)
     out = args.out or str(Path(base.output_path).with_suffix(".csv"))
     out_path = Path(out)
     F = base.map.build()
     cells = spec.cells()
     cell_params = [spec.cell_params(radius, max_iter) for radius, max_iter in cells]
     # one orbit pass per voxel answers every cell
-    stack = field.scan(F, base.region, base.embedding, cell_params, workers=workers)
+    stack = field.scan(F, base.region, base.embedding, cell_params, workers=args.workers)
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
     for (radius, max_iter), fld in zip(cells, stack.fields):
         plotted, escaped, converged, mean_steps = _sweep_row(fld)
@@ -166,7 +156,7 @@ def run_sweep(args) -> int:
             cell = out_path.with_name(
                 f"{out_path.stem}_r{radius:g}_it{max_iter}.ppm"
             )
-            _render_to(cell, F, base, fld.params, workers)
+            _render_to(cell, F, base, fld.params, args.workers)
     text = "\n".join(lines) + "\n"
 
     def write_csv(tmp) -> None:
@@ -186,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", help="ray-march a job to a PPM image")
     p_render.add_argument("config", help="JSON job description")
-    p_render.add_argument("--workers", type=int, help="parallel worker count")
+    p_render.add_argument(
+        "--workers", type=int, default=1, help="parallel worker count (default 1)"
+    )
     p_render.add_argument("--out", help="output image path (overrides outputPath)")
     p_render.add_argument(
         "--dump-field",
@@ -202,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate a radius/iteration grid")
     p_sweep.add_argument("config", help="JSON sweep description")
-    p_sweep.add_argument("--workers", type=int, help="parallel worker count")
+    p_sweep.add_argument(
+        "--workers", type=int, default=1, help="parallel worker count (default 1)"
+    )
     p_sweep.add_argument("--out", help="output CSV path (overrides outputPath)")
     p_sweep.add_argument(
         "--no-images", action="store_true", help="skip the per-cell renders"

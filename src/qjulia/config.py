@@ -6,7 +6,12 @@ real), polynomials as ascending-degree coefficient arrays.  parse and
 serialize round-trip: parse(serialize(cfg)) == cfg.
 
 Unknown or malformed keys raise ConfigError with the offending key in
-the message rather than being ignored.
+the message rather than being ignored.  Each shape check has one
+reader: _array for non-empty arrays, _section for nested objects and
+their keys, _build for a constructor's ValueError.
+
+A job says what to compute, not how: the worker count is the CLI's
+--workers option, and a "workers" key is an unknown key.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ class RenderConfig:
     lighting: LightingParams = LightingParams(light_dir=DEFAULT_LIGHT_DIR)
     k_refine: int = 20
     palette: str = "gray"
-    workers: Optional[int] = None
     output_path: str = "out.ppm"
     slice_window: Optional[tuple[float, float, float, float]] = None
     slice_resolution: Optional[tuple[int, int]] = None
@@ -135,10 +139,31 @@ def _integers(v: Any, key: str, length: int) -> tuple:
     return tuple(_integer(c, key) for c in v)
 
 
+def _array(v: Any, key: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{key}: expected a non-empty array")
+    return v
+
+
 def _check_keys(data: dict, allowed: set[str], ctx: str) -> None:
     for k in data:
         if k not in allowed:
             raise ConfigError(f"unknown key {ctx}{k}")
+
+
+def _section(data: Any, name: str, allowed: set[str]) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: expected an object")
+    _check_keys(data, allowed, f"{name}.")
+    return data
+
+
+def _build(name: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported under name."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_map(data: Any) -> MapSpec:
@@ -156,10 +181,8 @@ def _parse_map(data: Any) -> MapSpec:
         _check_keys(data, {"kind", "numerator", "denominator"}, "map.")
         num = _need(data, "numerator", "map.")
         den = _need(data, "denominator", "map.")
-        if not isinstance(num, list) or not num:
-            raise ConfigError("map.numerator: expected a non-empty array")
-        if not isinstance(den, list) or not den:
-            raise ConfigError("map.denominator: expected a non-empty array")
+        num = _array(num, "map.numerator")
+        den = _array(den, "map.denominator")
         spec = MapSpec(
             "rational",
             numerator=tuple(_quaternion(c, "map.numerator") for c in num),
@@ -167,9 +190,7 @@ def _parse_map(data: Any) -> MapSpec:
         )
     elif kind == "newton":
         _check_keys(data, {"kind", "polynomial"}, "map.")
-        poly = _need(data, "polynomial", "map.")
-        if not isinstance(poly, list) or not poly:
-            raise ConfigError("map.polynomial: expected a non-empty array")
+        poly = _array(_need(data, "polynomial", "map."), "map.polynomial")
         spec = MapSpec(
             "newton", polynomial=tuple(_number(c, "map.polynomial") for c in poly)
         )
@@ -205,49 +226,32 @@ def _parse_params(data: dict) -> ClassifierParams:
 
 
 def _parse_region(data: Any) -> Region3:
-    if not isinstance(data, dict):
-        raise ConfigError("region: expected an object")
-    _check_keys(data, {"min", "max", "resolution"}, "region.")
+    data = _section(data, "region", {"min", "max", "resolution"})
     mn = _vector(_need(data, "min", "region."), "region.min", 3)
     mx = _vector(_need(data, "max", "region."), "region.max", 3)
     res = _integers(_need(data, "resolution", "region."), "region.resolution", 3)
-    try:
-        return Region3(mn, mx, res)
-    except ValueError as exc:
-        raise ConfigError(f"region: {exc}") from exc
+    return _build("region", Region3, mn, mx, res)
 
 
 def _parse_embedding(data: Any) -> Embedding:
-    if not isinstance(data, dict):
-        raise ConfigError("embedding: expected an object")
-    _check_keys(data, {"axes", "fixedValue"}, "embedding.")
+    data = _section(data, "embedding", {"axes", "fixedValue"})
     axes = data.get("axes", ["r", "m", "n"])
     if not isinstance(axes, list) or len(axes) != 3:
         raise ConfigError("embedding.axes: expected an array of 3 component names")
     fixed = _number(data.get("fixedValue", 0.0), "embedding.fixedValue")
-    try:
-        return Embedding(tuple(axes), fixed)
-    except ValueError as exc:
-        raise ConfigError(f"embedding.axes: {exc}") from exc
+    return _build("embedding.axes", Embedding, tuple(axes), fixed)
 
 
 def _parse_camera(data: Any) -> Camera:
-    if not isinstance(data, dict):
-        raise ConfigError("camera: expected an object")
-    _check_keys(data, {"viewAxis", "imageSize"}, "camera.")
+    data = _section(data, "camera", {"viewAxis", "imageSize"})
     axis = data.get("viewAxis", "+z")
     size = _integers(data.get("imageSize", [128, 128]), "camera.imageSize", 2)
-    try:
-        return Camera(axis, size)
-    except ValueError as exc:
-        raise ConfigError(f"camera: {exc}") from exc
+    return _build("camera", Camera, axis, size)
 
 
 def _parse_lighting(data: Any) -> LightingParams:
-    if not isinstance(data, dict):
-        raise ConfigError("lighting: expected an object")
     allowed = {"model", "lightDir", "ambient", "diffuse", "specular", "shininess"}
-    _check_keys(data, allowed, "lighting.")
+    data = _section(data, "lighting", allowed)
     raw_model = data.get("model", "phong")
     try:
         model = LightModel(raw_model)
@@ -260,23 +264,17 @@ def _parse_lighting(data: Any) -> LightingParams:
         light_dir = DEFAULT_LIGHT_DIR
     else:
         vec = _vector(raw_dir, "lighting.lightDir", 3)
-        try:
-            light_dir = normalize3(vec)
-        except ValueError as exc:
-            raise ConfigError(f"lighting.lightDir: {exc}") from exc
+        light_dir = _build("lighting.lightDir", normalize3, vec)
     kwargs = {}
     for name in ("ambient", "diffuse", "specular", "shininess"):
         if name in data:
             kwargs[name] = _number(data[name], f"lighting.{name}")
-    try:
-        return LightingParams(model, light_dir, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"lighting: {exc}") from exc
+    return _build("lighting", LightingParams, model, light_dir, **kwargs)
 
 
 _TOP_KEYS = {
     "map", "method", "radius", "maxIter", "cutoffCount", "region", "embedding",
-    "camera", "lighting", "kRefine", "palette", "workers", "outputPath", "slice",
+    "camera", "lighting", "kRefine", "palette", "outputPath", "slice",
 }
 
 
@@ -296,11 +294,6 @@ def parse_config_data(data: Any) -> RenderConfig:
     palette = data.get("palette", "gray")
     if palette not in ("gray", "steps"):
         raise ConfigError(f"palette: expected 'gray' or 'steps', got {palette!r}")
-    workers = data.get("workers")
-    if workers is not None:
-        workers = _integer(workers, "workers")
-        if workers < 1:
-            raise ConfigError("workers: must be at least 1")
     output_path = data.get("outputPath", "out.ppm")
     if not isinstance(output_path, str):
         raise ConfigError("outputPath: expected a string")
@@ -308,10 +301,7 @@ def parse_config_data(data: Any) -> RenderConfig:
     slice_window = None
     slice_resolution = None
     if "slice" in data:
-        sl = data["slice"]
-        if not isinstance(sl, dict):
-            raise ConfigError("slice: expected an object")
-        _check_keys(sl, {"window", "resolution"}, "slice.")
+        sl = _section(data["slice"], "slice", {"window", "resolution"})
         if "window" in sl:
             slice_window = _vector(sl["window"], "slice.window", 4)
         if "resolution" in sl:
@@ -326,7 +316,6 @@ def parse_config_data(data: Any) -> RenderConfig:
         lighting=lighting,
         k_refine=k_refine,
         palette=palette,
-        workers=workers,
         output_path=output_path,
         slice_window=slice_window,
         slice_resolution=slice_resolution,
@@ -392,8 +381,6 @@ def config_data(cfg: RenderConfig) -> dict:
         "palette": cfg.palette,
         "outputPath": cfg.output_path,
     }
-    if cfg.workers is not None:
-        data["workers"] = cfg.workers
     if cfg.slice_window is not None or cfg.slice_resolution is not None:
         sl = {}
         if cfg.slice_window is not None:
@@ -413,12 +400,8 @@ def parse_sweep(text: str) -> SweepSpec:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(data, {"radii", "iterationCounts", "base"}, "")
-    radii = data.get("radii")
-    if not isinstance(radii, list) or not radii:
-        raise ConfigError("radii: expected a non-empty array")
-    counts = data.get("iterationCounts")
-    if not isinstance(counts, list) or not counts:
-        raise ConfigError("iterationCounts: expected a non-empty array")
+    radii = _array(data.get("radii"), "radii")
+    counts = _array(data.get("iterationCounts"), "iterationCounts")
     base = parse_config_data(_need(data, "base"))
     parsed_radii = tuple(_number(r, "radii") for r in radii)
     if any(r <= 0 for r in parsed_radii):

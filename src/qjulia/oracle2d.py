@@ -89,10 +89,6 @@ def _eval_cmap(F: CMap, x: float, y: float) -> tuple[float, float]:
     return nr * ir - ni * ii, nr * ii + ni * ir
 
 
-def eval_cpoly(coeffs: tuple[Complex, ...], z: Complex) -> Complex:
-    return Complex(*_eval_cpoly(coeffs, *z))
-
-
 def eval_cmap(F: CMap, z: Complex) -> Complex:
     return Complex(*_eval_cmap(F, *z))
 

@@ -117,7 +117,9 @@ def cast_rays(
     Two fld.run_chunks passes do the work: the march batches rays by
     flat pixel index (row * w + col), exactly as scan batches voxels, and
     records each ray's first plotted layer; the refine then batches the
-    hits, bisects each bracket and takes the final sample.  A batch may
+    hits, bisects each bracket (stopping early once every bracket in the
+    batch is down to adjacent floats, so any k_refine is bounded) and
+    takes the final sample.  A batch may
     start or end mid-row.  Every lane reads only its own ray, so any
     partition of pixels or hits gives the same bytes.
     """
@@ -173,6 +175,10 @@ def cast_rays(
         b_t = layer_t(first[g])
         for _ in range(k_refine):
             mid = (a_t + b_t) * 0.5
+            # at float64 resolution every later round would re-sample an
+            # endpoint (a_t unplotted, b_t plotted) and move nothing
+            if np.all((mid == a_t) | (mid == b_t)):
+                break
             plotted = sample(g, mid)[2]
             b_t = np.where(plotted, mid, b_t)
             a_t = np.where(plotted, a_t, mid)
@@ -204,25 +210,19 @@ def estimate_normal(dm: DepthMap, row: int, col: int) -> tuple[float, float, flo
     def ok(r: int, c: int) -> bool:
         return 0 <= r < h and 0 <= c < w and bool(dm.hit[r, c])
 
-    if ok(row, col - 1) and ok(row, col + 1):
-        dtdx = (t[row, col + 1] - t[row, col - 1]) / (2.0 * dm.du)
-    elif ok(row, col + 1):
-        dtdx = (t[row, col + 1] - t[row, col]) / dm.du
-    elif ok(row, col - 1):
-        dtdx = (t[row, col] - t[row, col - 1]) / dm.du
-    else:
-        dtdx = 0.0
+    def slope(lo: tuple[int, int], hi: tuple[int, int], d: float) -> float:
+        """Depth change per unit step from neighbor lo to neighbor hi."""
+        if ok(*lo) and ok(*hi):
+            return (t[hi] - t[lo]) / (2.0 * d)
+        if ok(*hi):
+            return (t[hi] - t[row, col]) / d
+        if ok(*lo):
+            return (t[row, col] - t[lo]) / d
+        return 0.0
 
+    dtdx = slope((row, col - 1), (row, col + 1), dm.du)
     # image rows grow downward while v grows upward
-    if ok(row - 1, col) and ok(row + 1, col):
-        dtdy = (t[row - 1, col] - t[row + 1, col]) / (2.0 * dm.dv)
-    elif ok(row - 1, col):
-        dtdy = (t[row - 1, col] - t[row, col]) / dm.dv
-    elif ok(row + 1, col):
-        dtdy = (t[row, col] - t[row + 1, col]) / dm.dv
-    else:
-        dtdy = 0.0
-
+    dtdy = slope((row + 1, col), (row - 1, col), dm.dv)
     return normalize3((-dtdx, -dtdy, 1.0))
 
 

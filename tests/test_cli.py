@@ -82,9 +82,28 @@ def test_workers_default_to_one_not_the_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(render, "render_image", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert main(["render", tiny_newton(tmp_path)]) == 0
-    assert main(["render", tiny_newton(tmp_path, workers=3)]) == 0
-    assert main(["render", tiny_newton(tmp_path, workers=3), "--workers", "2"]) == 0
-    assert seen == [1, 3, 2]
+    assert main(["render", tiny_newton(tmp_path), "--workers", "2"]) == 0
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["render", "sweep"])
+def test_workers_below_one_is_one_error_line(tmp_path, capsys, command, workers):
+    cfg = tiny_newton(tmp_path)
+    if command == "sweep":
+        base = json.loads((tmp_path / "job.json").read_text())
+        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, cfg, "--workers", workers]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_workers_is_not_a_config_key(tmp_path, capsys):
+    # the worker count changes no output byte, so only --workers sets it
+    assert main(["render", tiny_newton(tmp_path, workers=2)]) == 1
+    assert capsys.readouterr().err == "error: unknown key workers\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
 def test_slice_unit_disc(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,6 @@ FULL = """
                "diffuse": 0.5, "specular": 0.1, "shininess": 4},
   "kRefine": 12,
   "palette": "steps",
-  "workers": 3,
   "outputPath": "full.ppm",
   "slice": {"window": [-1.5, 1.5, -1, 1], "resolution": [33, 21]}
 }
@@ -50,7 +51,6 @@ def test_minimal_config_defaults():
     assert cfg.camera.image_size == (128, 128)
     assert cfg.k_refine == 20
     assert cfg.palette == "gray"
-    assert cfg.workers is None
     assert math.isclose(
         sum(c * c for c in cfg.lighting.light_dir), 1.0, rel_tol=1e-12
     )
@@ -77,7 +77,6 @@ def test_full_config_parses():
     assert cfg.lighting.ambient == 0.2
     assert cfg.k_refine == 12
     assert cfg.palette == "steps"
-    assert cfg.workers == 3
     assert cfg.slice_window == (-1.5, 1.5, -1.0, 1.0)
     assert cfg.slice_resolution == (33, 21)
 
@@ -167,6 +166,14 @@ def test_validation_names_offending_key(text, needle):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert needle in str(exc.value)
+
+
+def test_readme_schema_parses():
+    # the documented schema must stay a job the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    schema = readme.split("## Config schema", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)```", schema, re.S).group(1)
+    parse_config(re.sub(r"//.*", "", block))
 
 
 def test_invalid_json_is_config_error():

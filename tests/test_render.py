@@ -20,6 +20,20 @@ EMB = fld.DEFAULT_EMBEDDING
 HEADLIGHT = rnd.LightingParams(rnd.LightModel.SIMPLE_LAMBERTIAN, (0.0, 0.0, 1.0))
 
 
+@pytest.fixture
+def classify_lanes(monkeypatch):
+    """The lane count of every fld._classify_batch call, in call order."""
+    lanes = []
+    classify = fld._classify_batch
+
+    def counting(F, params, hr, hm, hn, hp):
+        lanes.append(hr.size)
+        return classify(F, params, hr, hm, hn, hp)
+
+    monkeypatch.setattr(fld, "_classify_batch", counting)
+    return lanes
+
+
 def test_camera_validation():
     with pytest.raises(ValueError):
         rnd.Camera("z", (64, 64))
@@ -105,11 +119,13 @@ def test_all_miss_scene_black():
 
 
 @pytest.mark.parametrize("view_axis", ["+z", "-x"])
-def test_fully_plotted_scene_hits_front_face(view_axis):
+def test_fully_plotted_scene_hits_front_face(view_axis, classify_lanes):
     ident = dyn.polynomial_map([0.0, 1.0])
     params = ClassifierParams(ClassifierMethod.CUTOFF_RATE, 1e-3, 10, 1)
     cam = rnd.Camera(view_axis, (8, 8))
     dm = rnd.cast_rays(ident, BOX33, EMB, params, cam)
+    # one march layer and the final sample: no bracket, so no bisection
+    assert classify_lanes == [64, 64]
     assert dm.hit.all()
     assert (dm.depth == 0.0).all()
     # entrance-face hits are +0.0 on negative view axes too
@@ -194,24 +210,18 @@ def test_cast_rays_chunks_split_rows(view_axis, monkeypatch):
 
 
 @pytest.mark.parametrize("view_axis", ["+z", "-x"])
-def test_cast_rays_lanes_are_march_bisection_and_final_sample(view_axis, monkeypatch):
+def test_cast_rays_lanes_are_march_bisection_and_final_sample(
+    view_axis, monkeypatch, classify_lanes
+):
     # the work behind perfbench's render.march_lanes and bisect_lanes, for
     # any worker count or partition.  Lanes, not calls: batching may change
     # the number of calls but not the samples taken.
-    lanes = []
-    classify = fld._classify_batch
-
-    def counting(F, params, hr, hm, hn, hp):
-        lanes.append(hr.size)
-        return classify(F, params, hr, hm, hn, hp)
-
-    monkeypatch.setattr(fld, "_classify_batch", counting)
     cam = rnd.Camera(view_axis, (24, 21))
     axis = "xyz".index(view_axis[1])
     for chunk in (fld._CHUNK, 37):
         monkeypatch.setattr(fld, "_CHUNK", chunk)
         for workers in (1, 3):
-            lanes.clear()
+            classify_lanes.clear()
             dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
             # each hit's first plotted layer, read as perfbench's march_counts
             depth = dm.depth[dm.hit]
@@ -219,10 +229,26 @@ def test_cast_rays_lanes_are_march_bisection_and_final_sample(view_axis, monkeyp
             misses = dm.hit.size - depth.size
             march = misses * BOX33.resolution[axis] + int((first + 1).sum())
             bisection = int((first > 0).sum()) * 5
-            assert sum(lanes) == march + bisection + depth.size
+            assert sum(classify_lanes) == march + bisection + depth.size
     # +z has entrance-face hits, which must stay out of the bisection
     assert (first == 0).any() == (view_axis == "+z")
     assert (first > 0).any()
+
+
+@pytest.mark.parametrize("view_axis", ["+z", "-x"])
+def test_bisection_stops_at_float64_resolution(view_axis, classify_lanes):
+    # once every bracket's midpoint is one of its ends, a further round
+    # would re-sample an end and move nothing: kRefine 10**8 gives the
+    # bytes of 1200 and stops long before either
+    cam = rnd.Camera(view_axis, (16, 16))
+    runs = {}
+    for k_refine in (0, 1200, 10**8):
+        classify_lanes.clear()
+        dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=k_refine)
+        runs[k_refine] = (_depth_map_bytes(dm), len(classify_lanes))
+    assert runs[10**8] == runs[1200]
+    rounds = runs[1200][1] - runs[0][1]
+    assert 0 < rounds < 1200
 
 
 def test_view_axis_symmetry_hit_counts():
