@@ -10,6 +10,14 @@ Formulas deliberately follow the same evaluation order as the scalar
 quaternion path (Horner evaluation, division as multiply-by-inverse),
 which makes the two implementations agree to the last bit on the
 complex slice rather than merely to a tolerance.
+
+Within the module the per-seed arithmetic exists once and runs on
+Python floats and on float64 arrays alike: ``_eval_cpoly`` (Horner),
+``_cdivide`` (division by the denominator) and ``_plotted2d_bits`` (the
+plotted rule).  Only the orbit loop is twinned: ``classify2d`` is the
+scalar reference, and ``_classify2d_batch`` is its batch mirror, which
+``render_slice2d`` runs over the window in ``_CHUNK``-lane chunks.  Keep
+the two loops' decisions in sync; they must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import numpy as np
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, OutcomeKind
 
 EPS_DIV = 1e-300
+# lanes per _classify2d_batch call in render_slice2d
+_CHUNK = 4096
 
 
 class Pole2d(ArithmeticError):
@@ -70,7 +80,9 @@ def cmap(num: Sequence[ComplexLike], den: Sequence[ComplexLike] = (1.0,)) -> CMa
     )
 
 
-def _eval_cpoly(coeffs: tuple[Complex, ...], x: float, y: float) -> tuple[float, float]:
+def _eval_cpoly(coeffs: tuple[Complex, ...], x, y):
+    # Horner on floats or on arrays; a one-coefficient polynomial returns
+    # the coefficient's floats whatever x and y are
     ar, ai = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         c = coeffs[k]
@@ -84,6 +96,11 @@ def _eval_cmap(F: CMap, x: float, y: float) -> tuple[float, float]:
     ns = dr * dr + di * di
     if not ns > EPS_DIV:
         raise Pole2d(f"norm_sq={ns!r}")
+    return _cdivide(nr, ni, dr, di, ns)
+
+
+def _cdivide(nr, ni, dr, di, ns):
+    """n * d^-1 given ns = |d|^2; the caller has ruled out (or masks) poles."""
     ir = dr / ns
     ii = -di / ns
     return nr * ir - ni * ii, nr * ii + ni * ir
@@ -134,14 +151,78 @@ def classify2d(F: CMap, seed: Complex, params: ClassifierParams) -> Outcome2d:
     return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, Complex(px, py))
 
 
-def is_plotted2d(outcome: Outcome2d, params: ClassifierParams) -> bool:
-    if outcome.kind is OutcomeKind.POLE_HIT or outcome.kind is OutcomeKind.ESCAPED:
-        return False
+def _classify2d_batch(F: CMap, xs: np.ndarray, ys: np.ndarray, params: ClassifierParams):
+    """Vectorized classify2d over 1-D arrays of seed coordinates.
+
+    Mirrors classify2d decision for decision: a pole lane divides by its
+    near-zero norm under errstate and is masked instead of raised, and
+    lanes leave the working set as they resolve, so each lane's result
+    depends only on its own seed.  Returns (tags uint8, steps uint32).
+    """
+    escape = params.method is ClassifierMethod.ESCAPE_TIME
+    radius = params.radius
+    tags = np.full(xs.size, OutcomeKind.INDETERMINATE, dtype=np.uint8)
+    steps = np.full(xs.size, params.max_iter, dtype=np.uint32)
+    first_out = np.zeros(xs.size, dtype=np.uint32)
+    idx = np.arange(xs.size)
+    px, py = xs, ys
+    with np.errstate(all="ignore"):
+        for n in range(1, params.max_iter + 1):
+            nr, ni = _eval_cpoly(F.numerator, px, py)
+            # a one-coefficient denominator is floats; filled to lane shape,
+            # the pole mask and the quotient are arrays
+            dr, di = (
+                d if isinstance(d, np.ndarray) else np.full_like(px, d)
+                for d in _eval_cpoly(F.denominator, px, py)
+            )
+            ns = dr * dr + di * di
+            # not ns > EPS_DIV, so that a NaN norm is a pole too
+            pole = np.logical_not(ns > EPS_DIV)
+            x, y = _cdivide(nr, ni, dr, di, ns)
+            finite = np.isfinite(x) & np.isfinite(y)
+            blown = ~finite & ~pole
+            tags[idx[pole]] = OutcomeKind.POLE_HIT
+            steps[idx[pole]] = n
+            if blown.any():
+                # overflow reports the first step outside the ball, if any
+                out = first_out[idx[blown]]
+                tags[idx[blown]] = OutcomeKind.ESCAPED
+                steps[idx[blown]] = np.where(out != 0, out, n)
+            live = finite & ~pole
+            if escape:
+                newly = live & (first_out[idx] == 0) & (np.sqrt(x * x + y * y) > radius)
+                first_out[idx[newly]] = n
+            else:
+                dx = x - px
+                dy = y - py
+                conv = live & (np.sqrt(dx * dx + dy * dy) < radius)
+                tags[idx[conv]] = OutcomeKind.CONVERGED
+                steps[idx[conv]] = n
+                live &= ~conv
+            idx = idx[live]
+            if idx.size == 0:
+                break
+            px, py = x[live], y[live]
+        else:
+            # max_iter steps ran with lanes left: escape time judges the last iterate
+            if escape:
+                out = idx[np.sqrt(px * px + py * py) > radius]
+                tags[out] = OutcomeKind.ESCAPED
+                steps[out] = first_out[out]
+    return tags, steps
+
+
+def _plotted2d_bits(kind, steps, params: ClassifierParams):
+    """Whether outcomes are plotted, on ints or on arrays of tags and steps."""
     if params.method is ClassifierMethod.ESCAPE_TIME:
-        return outcome.kind is OutcomeKind.INDETERMINATE
-    if outcome.kind is OutcomeKind.INDETERMINATE:
-        return True
-    return outcome.steps >= params.cutoff_count
+        return kind == OutcomeKind.INDETERMINATE
+    return (kind == OutcomeKind.INDETERMINATE) | (
+        (kind == OutcomeKind.CONVERGED) & (steps >= params.cutoff_count)
+    )
+
+
+def is_plotted2d(outcome: Outcome2d, params: ClassifierParams) -> bool:
+    return bool(_plotted2d_bits(outcome.kind, outcome.steps, params))
 
 
 def render_slice2d(
@@ -164,13 +245,17 @@ def render_slice2d(
         raise ValueError("window must have positive extent")
     dx = (xmax - xmin) / (nx - 1)
     dy = (ymax - ymin) / (ny - 1)
-    bits = np.zeros((ny, nx), dtype=bool)
-    for iy in range(ny):
-        y = ymin + iy * dy
-        for ix in range(nx):
-            z = Complex(xmin + ix * dx, y)
-            bits[iy, ix] = is_plotted2d(classify2d(F, z, params), params)
-    return bits
+    total = nx * ny
+    bits = np.empty(total, dtype=bool)
+    # chunks split the flat index ix + nx*iy; each lane's result depends
+    # only on its own seed, so the chunk size never changes the bits
+    for lo in range(0, total, _CHUNK):
+        flat = np.arange(lo, min(lo + _CHUNK, total))
+        xs = xmin + (flat % nx).astype(np.float64) * dx
+        ys = ymin + (flat // nx).astype(np.float64) * dy
+        tags, steps = _classify2d_batch(F, xs, ys, params)
+        bits[lo : lo + flat.size] = _plotted2d_bits(tags, steps, params)
+    return bits.reshape(ny, nx)
 
 
 def write_pgm(path, bits: np.ndarray) -> None:

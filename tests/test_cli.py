@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +139,19 @@ def test_slice_window_override(tmp_path):
     out = tmp_path / "sl.pgm"
     assert main(["slice", cfg, "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"P5\n17 13\n255\n")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("newton_cubic_cutoff.json", "f1b6307507dfe3e5c8e5b604e52d85ed9ddbbf25b5667ff1c296bd67336a039a"),
+    ("newton_cubic_escape.json", "4567b42df5a402776b6fa453e169a9112f060d4945cf60fa971222fcc9e0b3f3"),
+    ("quadratic_basilica.json", "8ace9ef723b76260dca8391fdeae10f36f1d3d2e8f86d43d70cccbd504e21544"),
+    ("interweaving_basins.json", "953542c2a791e9f5412e02dcf1195e80f3cc83156d1f39a278dbe1771e2cd81a"),
+])
+def test_slice_of_bundled_config_keeps_its_bytes(tmp_path, name, digest):
+    cfg = Path(__file__).resolve().parent.parent / "configs" / name
+    out = tmp_path / "slice.pgm"
+    assert main(["slice", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_slice_rejects_nonreal_map(tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qjulia import dynamics as dyn
 from qjulia import oracle2d as orc
+from qjulia.cli import _complex_section
+from qjulia.config import parse_config
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, OutcomeKind
 from qjulia.oracle2d import Complex
 from qjulia.quat import Quaternion
@@ -21,6 +23,15 @@ SQUARE_Q = dyn.quadratic_map(1.0, 0.0)
 
 ET2 = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 2.0, 24)
 CO = ClassifierParams(ClassifierMethod.CUTOFF_RATE, 1e-3, 50, 25)
+ET4 = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 4.0, 24)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED = [
+    "newton_cubic_cutoff.json",
+    "newton_cubic_escape.json",
+    "quadratic_basilica.json",
+    "interweaving_basins.json",
+]
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -83,6 +94,72 @@ def test_orbit_values_match_quaternion_path(x, y):
             return
         assert z.re == h.r and z.im == h.m
         assert h.n == 0.0 and h.p == 0.0
+
+
+# 0 is the Newton pole; 1e200+1e200i gives a NaN norm; 1e155 overflows at
+# once, and under z^2 1e100 leaves the ball at step 1 and overflows at step
+# 2, so escape time reports step 1
+EDGE_SEEDS = [
+    (0.0, 0.0), (-0.0, -0.0), (-0.0, 1.0), (1e200, 1e200), (1e155, 0.0),
+    (1e100, 0.0), (-1e100, 1e100),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("F, params", [
+    (NEWTON_C, CO),
+    (NEWTON_C, ET4),
+    (SQUARE_C, ET2),
+    (orc.cmap([-1.0, 0.0, 1.0]), ET2),
+    (orc.cmap([0.5]), ET2),
+    (orc.cmap([0.5]), CO),
+    (orc.cmap([0.5], [2.0]), ET2),
+    (orc.cmap([0.5], [2.0]), CO),
+])
+def test_classify2d_batch_matches_scalar(F, params):
+    rng = np.random.default_rng(15)
+    xs = np.concatenate([rng.uniform(-2.5, 2.5, 1500), [x for x, _ in EDGE_SEEDS]])
+    ys = np.concatenate([rng.uniform(-2.5, 2.5, 1500), [y for _, y in EDGE_SEEDS]])
+    tags, steps = orc._classify2d_batch(F, xs, ys, params)
+    assert tags.dtype == np.uint8 and steps.dtype == np.uint32
+    for x, y, tag, step in zip(xs.tolist(), ys.tolist(), tags, steps):
+        want = orc.classify2d(F, Complex(x, y), params)
+        assert (OutcomeKind(int(tag)), int(step)) == (want.kind, want.steps), (x, y)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_render_slice2d_chunks_match_per_pixel_scalar(name, monkeypatch):
+    # 29x23 = 667 seeds: 37-lane chunks start and end mid-row and leave a
+    # ragged last chunk of 1 lane
+    cfg = parse_config((CONFIGS / name).read_text())
+    F = _complex_section(cfg.map.build())
+    window = (-1.7, 2.1, -1.3, 1.9)
+    nx, ny = 29, 23
+    lanes = []
+    batch = orc._classify2d_batch
+
+    def spy(F, xs, ys, params):
+        lanes.append(xs.size)
+        return batch(F, xs, ys, params)
+
+    monkeypatch.setattr(orc, "_CHUNK", 37)
+    monkeypatch.setattr(orc, "_classify2d_batch", spy)
+    bits = orc.render_slice2d(F, window, (nx, ny), cfg.params)
+    assert max(lanes) <= 37 and sum(lanes) == nx * ny and lanes[-1] == 1
+    dx = (window[1] - window[0]) / (nx - 1)
+    dy = (window[3] - window[2]) / (ny - 1)
+    want = np.array([
+        [
+            orc.is_plotted2d(
+                orc.classify2d(F, Complex(window[0] + ix * dx, window[2] + iy * dy), cfg.params),
+                cfg.params,
+            )
+            for ix in range(nx)
+        ]
+        for iy in range(ny)
+    ])
+    assert bits.shape == (ny, nx)
+    assert np.array_equal(bits, want)
 
 
 def test_render_slice2d_unit_disc():
