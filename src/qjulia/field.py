@@ -18,13 +18,19 @@ every cell's outcome from per-radius first-step records.  Its one-cell
 case, ``_classify_batch``, is the mirror of ``classify`` that ``scan``
 and the renderer use for a single parameter set.
 
-Workers split the flat voxel index space into fixed-size chunks and
-write disjoint slices of the output arrays, so no locking is needed and
-the chunk boundaries never depend on how many workers run.
+The flat voxel index space is cut into fixed-size chunks whose
+boundaries never depend on how many workers run.  ``scan``'s workers
+are forked processes (``run_forked``): each writes its own chunks of
+output arrays that live in shared anonymous memory, so no locking is
+needed and no result is copied back.  ``cast_rays``' march and refine
+still run their chunks on threads (``run_chunks``).
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -316,8 +322,8 @@ class FieldStack:
         ]
 
 
-def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> None:
-    """Call run(lo, hi) once for each _CHUNK-long slice of range(total).
+def _slices(total: int, workers: int) -> list[tuple[int, int]]:
+    """The _CHUNK-long slices (lo, hi) of range(total), in order.
 
     _CHUNK is the one batch size: scan batches voxels, and cast_rays
     batches pixels (by flat index) for its march, then hits for its
@@ -325,16 +331,33 @@ def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> Non
     slices depend only on total, never on workers, and each lane's
     result depends only on its own seed, so a run that writes just its
     own slice of the output gives the same bytes for any worker count or
-    partition.  The first error raised by a chunk, in slice order, is
-    re-raised.
+    partition.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+
+
+def _shared(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory: what a forked child
+    writes into it, the parent sees."""
+    dtype = np.dtype(dtype)
+    size = dtype.itemsize * int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
+def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> None:
+    """Call run(lo, hi) once for each slice of range(total) (see _slices)
+    on a pool of `workers` threads.
+
+    cast_rays' runner: its march and refine write ordinary arrays.
+    Threads scale badly here, since numpy holds the GIL between the small
+    ops of a batch; scan uses run_forked instead.  The first error raised
+    by a chunk, in slice order, is re-raised.
+    """
+    slices = _slices(total, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run, lo, min(lo + _CHUNK, total))
-            for lo in range(0, total, _CHUNK)
-        ]
+        futures = [pool.submit(run, lo, hi) for lo, hi in slices]
         try:
             for fut in futures:
                 fut.result()
@@ -342,6 +365,93 @@ def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> Non
             # stop at the first failure instead of running the queued chunks
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def run_forked(run: Callable[[int, int], None], total: int, workers: int) -> None:
+    """Call run(lo, hi) once for each slice of range(total) (see _slices)
+    in min(workers, slices) forked processes.
+
+    scan's runner.  run must write its results into memory the parent
+    shares (scan's arrays live in an anonymous mmap); anything else a
+    child changes is lost with it.  The slices are dealt round robin, and
+    each child stops at its first failing slice and reports it.  The
+    parent reaps every child, also when it is interrupted itself (it then
+    kills them first), and re-raises the reported error with the lowest
+    lo; a child that died otherwise, say by a signal, is a
+    ChildProcessError.  With one process, or without os.fork, the slices
+    run here in order.
+    """
+    slices = _slices(total, workers)
+    procs = min(workers, len(slices))
+    if procs <= 1 or not hasattr(os, "fork"):
+        for lo, hi in slices:
+            run(lo, hi)
+        return
+    children = []  # (pid, read end of its report pipe)
+    try:
+        for k in range(procs):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(run, slices[k::procs], wfd)
+            except BaseException:
+                os.close(rfd)
+                raise
+            finally:
+                os.close(wfd)
+            children.append((pid, rfd))
+        reports = []
+        for _, rfd in children:
+            with open(rfd, "rb", closefd=False) as pipe:
+                reports.append(pipe.read())
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, rfd in children:
+            os.close(rfd)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    failures = [pickle.loads(r) for r, code in zip(reports, codes) if r and code == 1]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for code in codes:
+        if code < 0:
+            import signal
+
+            raise ChildProcessError(f"scan worker killed by {signal.Signals(-code).name}")
+        if code != 0:
+            raise ChildProcessError(f"scan worker exited with status {code}")
+
+
+def _child(run: Callable[[int, int], None], slices, wfd: int):
+    """A forked worker's whole life: run its slices, write the first
+    failure as a pickled (lo, exception) to wfd, and leave by os._exit,
+    so it never returns into the caller's frames or flushes the stdio
+    buffers it shares with the parent."""
+    status = 1
+    try:
+        for lo, hi in slices:
+            try:
+                run(lo, hi)
+            except BaseException as exc:
+                report = (lo, exc)
+                try:
+                    # the parent must be able to rebuild what it reads
+                    pickle.loads(pickle.dumps(report))
+                except Exception:
+                    report = (lo, ChildProcessError(f"scan worker failed: {exc!r}"))
+                with open(wfd, "wb", closefd=False) as pipe:
+                    pickle.dump(report, pipe)
+                break
+        else:
+            status = 0
+    finally:
+        os._exit(status)
 
 
 def scan(
@@ -357,6 +467,9 @@ def scan(
     (one shared method; radii and max_iter in any order, repeats allowed)
     gives a FieldStack with one cell per entry, all answered by a single
     orbit pass per voxel, with the same tags and steps as separate scans.
+    The workers are forked processes (run_forked) that write the chunks
+    of tags and steps dealt to them; those arrays live in shared
+    anonymous memory, so the parent reads the children's writes directly.
     """
     single = isinstance(params, ClassifierParams)
     cells = (params,) if single else tuple(params)
@@ -368,8 +481,8 @@ def scan(
     radius_iter = [(p.radius, p.max_iter) for p in cells]
     nx, ny, nz = region.resolution
     total = region.voxel_count
-    tags = np.empty((len(cells), total), dtype=np.uint8)
-    steps = np.empty((len(cells), total), dtype=np.uint32)
+    tags = _shared((len(cells), total), np.uint8)
+    steps = _shared((len(cells), total), np.uint32)
     dx, dy, dz = region.step(0), region.step(1), region.step(2)
 
     def run_chunk(lo: int, hi: int) -> None:
@@ -385,7 +498,7 @@ def scan(
             F, method, radius_iter, hr, hm, hn, hp
         )
 
-    run_chunks(run_chunk, total, workers)
+    run_forked(run_chunk, total, workers)
 
     shape = (len(cells), nz, ny, nx)
     stack = FieldStack(region, emb, cells, tags.reshape(shape), steps.reshape(shape))

@@ -1,16 +1,30 @@
 """Shared test helpers."""
 
 import math
+import os
 
-from qjulia import quat
+import pytest
+
 from qjulia.dynamics import (
     ClassifierMethod,
     ClassifierParams,
     PoleError,
     QRationalMap,
-    eval_map,
+    _eval_map,
 )
 from qjulia.quat import Quaternion
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "running" if pid == 0 else f"unreaped (pid {pid})"
+    pytest.fail(f"the test left a child process {state}")
 
 
 def threshold_margin(
@@ -24,22 +38,36 @@ def threshold_margin(
     classifier actually looks at.  Seeds with a tiny margin sit
     numerically on the plotted/unplotted fence, so equivalence and
     symmetry tests exclude them instead of demanding a particular side.
+    The orbit runs on bare floats through dynamics._eval_map, and the
+    norm and distance sum and subtract in quat.norm's and quat.distance's
+    order, so the margins are those of the Quaternion arithmetic.
     """
+    escape = params.method is ClassifierMethod.ESCAPE_TIME
     margin = math.inf
-    p = seed
+    pr, pm, pn, pp = seed
     for _ in range(params.max_iter):
         try:
-            nxt = eval_map(F, p)
+            br, bm, bn, bp = _eval_map(F, pr, pm, pn, pp)
         except PoleError:
             return margin
-        if not quat.is_finite(nxt):
+        if not (
+            math.isfinite(br)
+            and math.isfinite(bm)
+            and math.isfinite(bn)
+            and math.isfinite(bp)
+        ):
             return margin
-        if params.method is ClassifierMethod.ESCAPE_TIME:
-            margin = min(margin, abs(quat.norm(nxt) - params.radius))
+        if escape:
+            norm = math.sqrt(br * br + bm * bm + bn * bn + bp * bp)
+            margin = min(margin, abs(norm - params.radius))
         else:
-            d = quat.distance(nxt, p)
+            dr = br - pr
+            dm = bm - pm
+            dn = bn - pn
+            dp = bp - pp
+            d = math.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
             margin = min(margin, abs(d - params.radius))
             if d < params.radius:
                 return margin
-        p = nxt
+        pr, pm, pn, pp = br, bm, bn, bp
     return margin

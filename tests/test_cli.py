@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,42 @@ def test_memory_error_and_interrupt_end_in_one_error_line(
     monkeypatch.setattr(*layer, _raises(exc))
     assert main([command, cfg, "--workers", "1"]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_kill_self, "error: scan worker killed by SIGKILL"),
+    (_interrupt, "error: interrupted"),
+], ids=["sigkill", "interrupt"])
+def test_failing_scan_worker_ends_in_one_error_line(
+    tmp_path, capsys, monkeypatch, fail, message
+):
+    base = json.loads(Path(tiny_newton(tmp_path)).read_text())
+    spec = {"radii": [2.0, 4.0], "iterationCounts": [5], "base": base}
+    cfg = write_cfg(tmp_path, "sweep.json", spec)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # 729 voxels in 100-voxel slices, so two workers fork two children
+    monkeypatch.setattr(field, "_CHUNK", 100)
+    parent = os.getpid()
+    classify_cells = field._classify_cells
+
+    def fail_in_child(*args):
+        if os.getpid() != parent:
+            fail()
+        return classify_cells(*args)
+
+    monkeypatch.setattr(field, "_classify_cells", fail_in_child)
+    assert main(["sweep", cfg, "--workers", "2", "--no-images"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def _half_writer(exc):

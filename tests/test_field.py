@@ -1,4 +1,7 @@
+import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +211,124 @@ def test_run_chunks_calls_each_slice_once_and_reraises(workers, monkeypatch):
 
     with pytest.raises(RuntimeError, match="chunk 4..8 failed"):
         fld.run_chunks(fail_second, 10, workers)
+
+
+@pytest.mark.parametrize("chunk", [4, 37])
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("slices", [1, 11])
+def test_run_forked_runs_each_slice_once(slices, workers, chunk, monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", chunk)
+    # a ragged last slice
+    total = (slices - 1) * chunk + 3
+    runs = fld._shared((slices,), np.int64)
+    ends = fld._shared((slices,), np.int64)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    def run(lo, hi):
+        runs[lo // chunk] += 1
+        ends[lo // chunk] = hi
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    fld.run_forked(run, total, workers)
+    assert runs.tolist() == [1] * slices
+    assert ends.tolist() == [min(lo + chunk, total) for lo in range(0, total, chunk)]
+    assert len(forks) <= slices
+    assert len(forks) == (min(workers, slices) if min(workers, slices) > 1 else 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_forked_reraises_a_slices_error(workers, monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+    runs = fld._shared((5,), np.int64)
+
+    def fail_second(lo, hi):
+        runs[lo // 4] += 1
+        if lo == 4:
+            raise RuntimeError("chunk 4..8 failed")
+
+    with pytest.raises(RuntimeError, match="^chunk 4..8 failed$"):
+        fld.run_forked(fail_second, 20, workers)
+    # the slices dealt after 4..8 to the same worker never ran
+    after = range(1 + workers, 5, workers)
+    assert runs[1] == 1
+    assert all(runs[i] == 0 for i in after)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_forked_reraises_the_lowest_slices_error(workers, monkeypatch):
+    # at 2 workers the first child fails at 8 and the second at 4
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+
+    def fail_from_4(lo, hi):
+        if lo >= 4:
+            raise (KeyError if lo == 4 else OSError)(f"slice {lo}")
+
+    with pytest.raises(KeyError, match="slice 4"):
+        fld.run_forked(fail_from_4, 10, workers)
+
+
+def test_run_forked_unpicklable_error_is_a_child_process_error(monkeypatch):
+    class Local(Exception):
+        pass
+
+    def fail_at_4(lo, hi):
+        if lo == 4:
+            raise Local("no import path")
+
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+    with pytest.raises(ChildProcessError, match=r"Local\('no import path'\)"):
+        fld.run_forked(fail_at_4, 10, 2)
+
+
+def test_run_forked_child_killed_by_a_signal(monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+
+    def die_at_4(lo, hi):
+        if lo == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+        fld.run_forked(die_at_4, 10, 2)
+
+
+def test_run_forked_interrupted_parent_kills_and_reaps(monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            fld.run_forked(lambda lo, hi: time.sleep(60), 10, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # the children were killed, not waited out
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("chunk", [4, 37])
+def test_forked_scan_is_byte_equal_across_workers(chunk, monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", chunk)
+    region = fld.Region3((-2.0, -1.5, -1.0), (2.0, 1.5, 1.0), (9, 7, 5))
+    cells = [
+        ClassifierParams(ClassifierMethod.ESCAPE_TIME, radius, max_iter)
+        for radius, max_iter in [(2.0, 24), (4.0, 7), (2.0, 5)]
+    ]
+    stacks = [
+        fld.scan(NEWTON, region, fld.DEFAULT_EMBEDDING, cells, workers=w)
+        for w in (1, 2, 3)
+    ]
+    for stack in stacks[1:]:
+        assert stack.tags.tobytes() == stacks[0].tags.tobytes()
+        assert stack.steps.tobytes() == stacks[0].steps.tobytes()
 
 
 def test_plotted_mask_matches_is_plotted():
