@@ -205,8 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "workers"):
+        # a worker beyond the usable CPUs only adds a process or a thread
+        args.workers = min(args.workers, _usable_cpus())
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -12,6 +12,10 @@ and on float64 arrays alike: ``_eval_poly`` (Horner), ``_divide`` (right
 division by the denominator) and ``plotted_bits`` (the plotted rule).
 The same operations in the same order give the same IEEE results on
 either, so ``field._step_batch`` calls them for a whole batch of lanes.
+``_eval_poly`` skips the terms of coefficient parts that are exactly
+0.0 (every bundled map and Newton transform has real coefficients with
+zero lower terms); on the finite iterates it is given, that can change
+only the sign of a zero, which no tag, step or depth sees.
 Only the orbit loops are twinned: ``classify`` runs on bare floats
 (r, m, n, p), with ``Quaternion`` only at the public edges, and
 ``field._classify_cells`` is its batch mirror (its one-cell case,
@@ -105,19 +109,51 @@ def rational_map(
 
 
 def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    # Horner on floats or on arrays (field._step_batch); a one-coefficient
-    # polynomial returns the coefficient's floats whatever h is
+    """Horner's rule on floats or on float64 arrays (field._step_batch).
+
+    A one-coefficient polynomial returns the coefficient's floats
+    whatever h is.  Otherwise every term that a coefficient part of
+    exactly 0.0 contributes is skipped: the lead times h has one product
+    per non-zero part of the lead (4 multiplies for a real lead, not 16
+    multiplies and 12 adds), and a zero part of a lower coefficient is
+    not added.  The terms kept are summed in the full formula's order,
+    and a product of the running sum with h keeps the full formula.
+
+    Precondition: h is finite (both orbit loops stop a lane at its first
+    non-finite iterate, and config seeds are finite).  Then every skipped
+    term is a signed zero, and x + 0.0 or x - (+-0) equals x, except that
+    a zero x may change sign (adding -0.0 changes nothing at all).  So
+    the result equals the full formula's under ==, and nothing downstream
+    sees the sign of a zero: its consumers are >, <, ==, isfinite,
+    squares in norms, and products with or quotients by ns > EPS_DIV.
+    For a non-finite h a skipped 0*inf term would have been NaN.
+    """
     ar, am, an, ap = coeffs[-1]
+    if len(coeffs) == 1:
+        return ar, am, an, ap
+    # lead * h: the full product's terms in its order, less those of the
+    # lead's zero parts; -0.0 + x is x, so a sum may start there
+    if ar:
+        r, m, n, p = ar * hr, ar * hm, ar * hn, ar * hp
+    else:
+        r = m = n = p = -0.0
+    if am:
+        r, m, n, p = r - am * hm, m + am * hr, n - am * hp, p + am * hn
+    if an:
+        r, m, n, p = r - an * hn, m + an * hp, n + an * hr, p - an * hm
+    if ap:
+        r, m, n, p = r - ap * hp, m - ap * hn, n + ap * hm, p + ap * hr
     for k in range(len(coeffs) - 2, -1, -1):
-        r = ar * hr - am * hm - an * hn - ap * hp
-        m = ar * hm + am * hr + an * hp - ap * hn
-        n = ar * hn - am * hp + an * hr + ap * hm
-        p = ar * hp + am * hn - an * hm + ap * hr
-        c = coeffs[k]
-        ar = r + c.r
-        am = m + c.m
-        an = n + c.n
-        ap = p + c.p
+        cr, cm, cn, cp = coeffs[k]
+        ar = r + cr if cr else r
+        am = m + cm if cm else m
+        an = n + cn if cn else n
+        ap = p + cp if cp else p
+        if k:
+            r = ar * hr - am * hm - an * hn - ap * hp
+            m = ar * hm + am * hr + an * hp - ap * hn
+            n = ar * hn - am * hp + an * hr + ap * hm
+            p = ar * hp + am * hn - an * hm + ap * hr
     return ar, am, an, ap
 
 
@@ -145,12 +181,19 @@ def _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns):
 
 
 def eval_poly(f: QPolynomial, h: Quaternion) -> Quaternion:
-    """Evaluate by Horner's rule; coefficients stay on the left of the powers."""
+    """Evaluate by Horner's rule; coefficients stay on the left of the powers.
+
+    h must be finite: the terms of zero coefficient parts are skipped
+    (see _eval_poly).
+    """
     return Quaternion(*_eval_poly(f.coeffs, *h))
 
 
 def eval_map(F: QRationalMap, h: Quaternion) -> Quaternion:
-    """P(h) * Q(h)^-1, division realized as right-multiplication by the inverse."""
+    """P(h) * Q(h)^-1, division realized as right-multiplication by the inverse.
+
+    h must be finite, as for eval_poly.
+    """
     return Quaternion(*_eval_map(F, *h))
 
 

@@ -8,8 +8,10 @@ the outcome/parameter record types are shared so results compare 1:1.
 
 Formulas deliberately follow the same evaluation order as the scalar
 quaternion path (Horner evaluation, division as multiply-by-inverse),
-which makes the two implementations agree to the last bit on the
-complex slice rather than merely to a tolerance.
+which makes the two implementations agree exactly on the complex slice
+rather than merely to a tolerance: the quaternion Horner skips the
+terms of zero coefficient parts, which this module's does not, so the
+two may differ in the sign of a zero, which ``==`` and every tag ignore.
 
 Within the module the per-seed arithmetic exists once and runs on
 Python floats and on float64 arrays alike: ``_eval_cpoly`` (Horner),

@@ -84,9 +84,47 @@ def test_workers_default_to_one_not_the_cpu_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(render, "render_image", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     assert main(["render", tiny_newton(tmp_path)]) == 0
     assert main(["render", tiny_newton(tmp_path), "--workers", "2"]) == 0
     assert seen == [1, 2]
+
+
+def _record_workers(monkeypatch):
+    """Spies on both chunk runners: each records its workers and runs the
+    slices here, so no process or thread starts."""
+    seen = []
+
+    def in_process(run, total, workers):
+        seen.append(workers)
+        for lo, hi in field._slices(total, workers):
+            run(lo, hi)
+
+    monkeypatch.setattr(field, "run_forked", in_process)
+    monkeypatch.setattr(field, "run_chunks", in_process)
+    return seen
+
+
+@pytest.mark.parametrize("workers, usable", [("64", 2), ("2", 2), ("1", 2), ("3", 8)])
+def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, workers, usable):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    seen = _record_workers(monkeypatch)
+    cfg = tiny_newton(tmp_path)
+    base = json.loads((tmp_path / "job.json").read_text())
+    sweep = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    assert main(["render", cfg, "--workers", workers, "--dump-field", str(tmp_path / "f.qjf")]) == 0
+    assert main(["sweep", sweep, "--workers", workers]) == 0
+    # render: march, refine, scan; sweep: scan, then the cell's march and refine
+    assert seen == [min(int(workers), usable)] * 6
+
+
+@pytest.mark.parametrize("cpu_count, cap", [(3, 3), (None, 1)])
+def test_workers_cap_falls_back_to_the_cpu_count(tmp_path, monkeypatch, cpu_count, cap):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    seen = _record_workers(monkeypatch)
+    assert main(["render", tiny_newton(tmp_path), "--workers", "64"]) == 0
+    assert seen == [cap, cap]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -153,6 +191,40 @@ def test_slice_of_bundled_config_keeps_its_bytes(tmp_path, name, digest):
     out = tmp_path / "slice.pgm"
     assert main(["slice", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# a 48x48 render on a 33^3 grid, and its QJF1 field dump
+@pytest.mark.parametrize("name, ppm_digest, field_digest", [
+    (
+        "newton_cubic_cutoff.json",
+        "f6f852829efb7712aeab67e1a728116ba86a5365fc1fd1b3ae2bdf8c47fd25e0",
+        "eb8143b178271739f06b7e82f55eb64ddf044fd831970815c21c5d70627aed15",
+    ),
+    (
+        "newton_cubic_escape.json",
+        "cfb441779f02fc6f042d6a45e84cd94ea85c996271188c88b707543f3e3ae4c2",
+        "8a2056afadd8c2be7d316a7c862f223b4589a593ad7eba7dcd00ab540efa4fee",
+    ),
+    (
+        "quadratic_basilica.json",
+        "e01807ff7e974eec55b7c14955e3f83e8e574850af08dc8ef8567aadc4272bf4",
+        "d7764ffc0894dfce169455ba0db595b984f4f1186b294e05dcf83b148322d087",
+    ),
+    (
+        "interweaving_basins.json",
+        "cb1552e529c9d5585c92cbbb99bb063488c31ef4e7deb4a298a7f7137cc2e2f5",
+        "8992cc82c9af73d0c3388054b8964a3439b52c596f0e44ec499eebc19a7ce127",
+    ),
+])
+def test_render_of_bundled_config_keeps_its_bytes(tmp_path, name, ppm_digest, field_digest):
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+    data["camera"]["imageSize"] = [48, 48]
+    data["region"]["resolution"] = [33, 33, 33]
+    cfg = write_cfg(tmp_path, "job.json", data)
+    ppm, qjf = tmp_path / "render.ppm", tmp_path / "field.qjf"
+    assert main(["render", cfg, "--out", str(ppm), "--dump-field", str(qjf)]) == 0
+    assert hashlib.sha256(ppm.read_bytes()).hexdigest() == ppm_digest
+    assert hashlib.sha256(qjf.read_bytes()).hexdigest() == field_digest
 
 
 def test_slice_rejects_nonreal_map(tmp_path, capsys):

@@ -1,4 +1,6 @@
 
+import itertools
+import math
 import random
 import struct
 
@@ -239,24 +241,25 @@ def test_orbit_points():
     assert all(quat.is_finite(p) for p in blown[:-1])
 
 
+def _reference_horner(f, h):
+    """Horner with every product and add in full, zero parts included."""
+    acc = f.coeffs[-1]
+    for k in range(len(f.coeffs) - 2, -1, -1):
+        acc = quat.add(quat.mul(acc, h), f.coeffs[k])
+    return acc
+
+
 def _reference_classify(F, seed, params):
     """The Quaternion-per-operation orbit loop, kept as the reference."""
-
-    def horner(f, h):
-        acc = f.coeffs[-1]
-        for k in range(len(f.coeffs) - 2, -1, -1):
-            acc = quat.add(quat.mul(acc, h), f.coeffs[k])
-        return acc
-
     escape = params.method is dyn.ClassifierMethod.ESCAPE_TIME
     prev = seed
     first_out = 0
     for n in range(1, params.max_iter + 1):
         try:
-            inv = quat.inverse(horner(F.denominator, prev))
+            inv = quat.inverse(_reference_horner(F.denominator, prev))
         except quat.DivisionByNearZero:
             return dyn.OrbitOutcome(dyn.OutcomeKind.POLE_HIT, n)
-        cur = quat.mul(horner(F.numerator, prev), inv)
+        cur = quat.mul(_reference_horner(F.numerator, prev), inv)
         if not quat.is_finite(cur):
             return dyn.OrbitOutcome(dyn.OutcomeKind.ESCAPED, first_out if first_out else n)
         if escape:
@@ -299,3 +302,85 @@ def test_classify_matches_reference_on_quaternion_coefficients():
         dyn.OutcomeKind.ESCAPED,
         dyn.OutcomeKind.INDETERMINATE,
     } <= kinds
+
+
+# Coefficients with zero parts, which _eval_poly skips: every bundled map
+# and Newton transform has them.  QUAT_ZERO_PARTS' lead has a zero real
+# part, so its lead product starts from the -0.0 identity.
+SQUARE_MINUS_ONE = dyn.quadratic_map(1.0, -1.0)
+INTERWEAVING = dyn.rational_map([-3.0, 0.0, -2.0, 2.0], [1.0, 4.0, 3.0])
+SQUARE_PLUS_I = dyn.quadratic_map(1.0, Quaternion(0, 1, 0, 0))
+QUAT_ZERO_PARTS = dyn.QPolynomial.from_coeffs([
+    Quaternion(0.0, 0.3, 0.0, -0.2),
+    Quaternion(-0.5, 0.0, 0.0, 0.0),
+    Quaternion(0.0, 0.8, 0.0, 0.6),
+])
+ZERO_PART_POLYS = {
+    "newton-numerator": NEWTON.numerator,
+    "newton-denominator": NEWTON.denominator,
+    "square-minus-one": SQUARE_MINUS_ONE.numerator,
+    "interweaving-numerator": INTERWEAVING.numerator,
+    "interweaving-denominator": INTERWEAVING.denominator,
+    "square-plus-i": SQUARE_PLUS_I.numerator,
+    "quaternion-zero-parts": QUAT_ZERO_PARTS,
+    "one-coefficient": dyn.QPolynomial.from_coeffs([Quaternion(0.0, -1.5, 0.0, 2.0)]),
+}
+ZERO_PART_MAPS = {
+    "newton": NEWTON,
+    "square-minus-one": SQUARE_MINUS_ONE,
+    "interweaving": INTERWEAVING,
+    "square-plus-i": SQUARE_PLUS_I,
+    "quaternion-zero-parts": dyn.QRationalMap(QUAT_ZERO_PARTS),
+}
+
+
+def _random_seeds(count, seed):
+    rng = random.Random(seed)
+    return [Quaternion(*(rng.uniform(-2, 2) for _ in range(4))) for _ in range(count)]
+
+
+# signed zeros in every component, 1e-200 (products underflow) and 1e150
+# (products overflow), each mixed with ordinary values
+EDGE_SEEDS = [
+    Quaternion(*c)
+    for c in itertools.product((0.0, -0.0, 1e-200, -1e-200, 1e150, -1e150, 0.75), repeat=4)
+]
+
+
+def _equal_or_both_nan(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("f", ZERO_PART_POLYS.values(), ids=ZERO_PART_POLYS.keys())
+def test_eval_poly_skipping_zero_parts_matches_full_horner(f):
+    seeds_ = _random_seeds(2000, 17) + EDGE_SEEDS
+    got = [dyn._eval_poly(f.coeffs, *h) for h in seeds_]
+    for h, g in zip(seeds_, got):
+        assert _equal_or_both_nan(g, _reference_horner(f, h)), h
+    # on arrays the same operations give the same bits, zero signs included
+    hs = [np.array(c) for c in zip(*seeds_)]
+    with np.errstate(all="ignore"):
+        arrays = dyn._eval_poly(f.coeffs, *hs)
+    for a, floats in zip(arrays, zip(*got)):
+        want = np.array(floats)
+        a = np.broadcast_to(a, want.shape)
+        assert np.array_equal(a, want, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(want))
+
+
+@pytest.mark.parametrize("F", ZERO_PART_MAPS.values(), ids=ZERO_PART_MAPS.keys())
+@pytest.mark.parametrize("params", [
+    dyn.ClassifierParams(dyn.ClassifierMethod.ESCAPE_TIME, 2.0, 24),
+    dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1e-3, 50, 25),
+], ids=["escape", "cutoff"])
+def test_classify_on_zero_part_maps_matches_reference_and_batch(F, params):
+    seeds_ = _random_seeds(300, 5) + EDGE_SEEDS
+    outs = [dyn.classify(F, s, params) for s in seeds_]
+    for s, out in zip(seeds_, outs):
+        want = _reference_classify(F, s, params)
+        assert (out.kind, out.steps) == (want.kind, want.steps), s
+        assert out.last == want.last, s
+    hr, hm, hn, hp = (np.array(c) for c in zip(*seeds_))
+    tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
+    assert tags.tolist() == [o.kind for o in outs]
+    assert steps.tolist() == [o.steps for o in outs]
