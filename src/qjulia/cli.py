@@ -174,12 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_render = sub.add_parser("render", help="ray-march a job to a PPM image")
-    p_render.add_argument("config", help="JSON job description")
-    p_render.add_argument(
+    # the options more than one subcommand takes, each declared once
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("config", help="JSON job description (sweep: a sweep description)")
+    job.add_argument("--out", help="output path (overrides outputPath)")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
         "--workers", type=int, default=1, help="parallel worker count (default 1)"
     )
-    p_render.add_argument("--out", help="output image path (overrides outputPath)")
+
+    p_render = sub.add_parser(
+        "render", parents=[job, workers], help="ray-march a job to a PPM image"
+    )
     p_render.add_argument(
         "--dump-field",
         metavar="PATH",
@@ -187,17 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_render.set_defaults(func=run_render)
 
-    p_slice = sub.add_parser("slice", help="write the complex cross-section as PGM")
-    p_slice.add_argument("config", help="JSON job description")
-    p_slice.add_argument("--out", help="output image path (overrides outputPath)")
+    p_slice = sub.add_parser(
+        "slice", parents=[job], help="write the complex cross-section as PGM"
+    )
     p_slice.set_defaults(func=run_slice)
 
-    p_sweep = sub.add_parser("sweep", help="tabulate a radius/iteration grid")
-    p_sweep.add_argument("config", help="JSON sweep description")
-    p_sweep.add_argument(
-        "--workers", type=int, default=1, help="parallel worker count (default 1)"
+    p_sweep = sub.add_parser(
+        "sweep", parents=[job, workers], help="tabulate a radius/iteration grid"
     )
-    p_sweep.add_argument("--out", help="output CSV path (overrides outputPath)")
     p_sweep.add_argument(
         "--no-images", action="store_true", help="skip the per-cell renders"
     )

@@ -8,7 +8,10 @@ serialize round-trip: parse(serialize(cfg)) == cfg.
 Unknown or malformed keys raise ConfigError with the offending key in
 the message rather than being ignored.  Each shape check has one
 reader: _array for non-empty arrays, _section for nested objects and
-their keys, _build for a constructor's ValueError.
+their keys, _choice for a string from a fixed set, _build for a
+constructor's ValueError.  _MAP_KINDS lists each map kind's keys and
+their readers; _parse_map and _map_json both follow it.  A default is
+written once, in the dataclass that declares it, and read from there.
 
 A job says what to compute, not how: the worker count is the CLI's
 --workers option, and a "workers" key is an unknown key.
@@ -25,7 +28,7 @@ from qjulia import dynamics
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, QRationalMap
 from qjulia.field import Embedding, Region3
 from qjulia.quat import Quaternion
-from qjulia.render import Camera, LightModel, LightingParams, normalize3
+from qjulia.render import _PALETTES, Camera, LightModel, LightingParams, normalize3
 
 
 class ConfigError(ValueError):
@@ -119,6 +122,22 @@ def _integer(v: Any, key: str) -> int:
     return v
 
 
+def _iterations(v: Any, key: str) -> int:
+    n = _integer(v, key)
+    if not 1 <= n <= dynamics._MAX_ITER:
+        raise ConfigError(f"{key}: must lie in [1, {dynamics._MAX_ITER}]")
+    return n
+
+
+def _choice(v: Any, key: str, options) -> str:
+    """v, if it is one of the strings in options (a dict's keys will do)."""
+    # the string test comes first: an unhashable v cannot be looked up
+    if not isinstance(v, str) or v not in options:
+        *most, last = (repr(o) for o in options)
+        raise ConfigError(f"{key}: expected {', '.join(most)} or {last}, got {v!r}")
+    return v
+
+
 def _quaternion(v: Any, key: str) -> Quaternion:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return Quaternion(_number(v, key), 0.0, 0.0, 0.0)
@@ -145,6 +164,11 @@ def _array(v: Any, key: str) -> list:
     return v
 
 
+def _array_of(read):
+    """Reader of a non-empty array whose items read() reads."""
+    return lambda v, key: tuple(read(c, key) for c in _array(v, key))
+
+
 def _check_keys(data: dict, allowed: set[str], ctx: str) -> None:
     for k in data:
         if k not in allowed:
@@ -166,57 +190,36 @@ def _build(name: str, make, *args, **kwargs):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+# each map kind's keys, which are also MapSpec's fields, with their readers
+_MAP_KINDS = {
+    "quadratic": {"p": _quaternion, "q": _quaternion},
+    "rational": {
+        "numerator": _array_of(_quaternion),
+        "denominator": _array_of(_quaternion),
+    },
+    "newton": {"polynomial": _array_of(_number)},
+}
+
+
 def _parse_map(data: Any) -> MapSpec:
     if not isinstance(data, dict):
         raise ConfigError("map: expected an object")
-    kind = _need(data, "kind", "map.")
-    if kind == "quadratic":
-        _check_keys(data, {"kind", "p", "q"}, "map.")
-        spec = MapSpec(
-            "quadratic",
-            p=_quaternion(_need(data, "p", "map."), "map.p"),
-            q=_quaternion(_need(data, "q", "map."), "map.q"),
-        )
-    elif kind == "rational":
-        _check_keys(data, {"kind", "numerator", "denominator"}, "map.")
-        num = _need(data, "numerator", "map.")
-        den = _need(data, "denominator", "map.")
-        num = _array(num, "map.numerator")
-        den = _array(den, "map.denominator")
-        spec = MapSpec(
-            "rational",
-            numerator=tuple(_quaternion(c, "map.numerator") for c in num),
-            denominator=tuple(_quaternion(c, "map.denominator") for c in den),
-        )
-    elif kind == "newton":
-        _check_keys(data, {"kind", "polynomial"}, "map.")
-        poly = _array(_need(data, "polynomial", "map."), "map.polynomial")
-        spec = MapSpec(
-            "newton", polynomial=tuple(_number(c, "map.polynomial") for c in poly)
-        )
-    else:
-        raise ConfigError(f"map.kind: unknown kind {kind!r}")
-    try:
-        spec.build()
-    except ConfigError:
-        raise
-    except (ValueError, dynamics.NonRealCoefficients) as exc:
-        raise ConfigError(f"map: {exc}") from exc
+    kind = _choice(_need(data, "kind", "map."), "map.kind", _MAP_KINDS)
+    readers = _MAP_KINDS[kind]
+    _check_keys(data, {"kind", *readers}, "map.")
+    fields = {k: read(_need(data, k, "map."), f"map.{k}") for k, read in readers.items()}
+    spec = MapSpec(kind, **fields)
+    _build("map", spec.build)
     return spec
 
 
 def _parse_params(data: dict) -> ClassifierParams:
-    raw_method = data.get("method", "cutoff")
-    try:
-        method = ClassifierMethod(raw_method)
-    except ValueError:
-        raise ConfigError(f"method: expected 'escape' or 'cutoff', got {raw_method!r}")
+    methods = [m.value for m in ClassifierMethod]
+    method = ClassifierMethod(_choice(data.get("method", "cutoff"), "method", methods))
     radius = _number(data.get("radius", DEFAULT_RADIUS[method]), "radius")
     if radius <= 0:
         raise ConfigError("radius: must be positive")
-    max_iter = _integer(data.get("maxIter", DEFAULT_MAX_ITER), "maxIter")
-    if max_iter < 1:
-        raise ConfigError("maxIter: must be at least 1")
+    max_iter = _iterations(data.get("maxIter", DEFAULT_MAX_ITER), "maxIter")
     cutoff_count = data.get("cutoffCount")
     if cutoff_count is not None:
         cutoff_count = _integer(cutoff_count, "cutoffCount")
@@ -235,41 +238,37 @@ def _parse_region(data: Any) -> Region3:
 
 def _parse_embedding(data: Any) -> Embedding:
     data = _section(data, "embedding", {"axes", "fixedValue"})
-    axes = data.get("axes", ["r", "m", "n"])
+    axes = data.get("axes", list(Embedding.axes))
     if not isinstance(axes, list) or len(axes) != 3:
         raise ConfigError("embedding.axes: expected an array of 3 component names")
-    fixed = _number(data.get("fixedValue", 0.0), "embedding.fixedValue")
+    fixed = data.get("fixedValue", Embedding.fixed_value)
+    fixed = _number(fixed, "embedding.fixedValue")
     return _build("embedding.axes", Embedding, tuple(axes), fixed)
 
 
 def _parse_camera(data: Any) -> Camera:
     data = _section(data, "camera", {"viewAxis", "imageSize"})
-    axis = data.get("viewAxis", "+z")
-    size = _integers(data.get("imageSize", [128, 128]), "camera.imageSize", 2)
+    axis = data.get("viewAxis", Camera.view_axis)
+    size = data.get("imageSize", list(Camera.image_size))
+    size = _integers(size, "camera.imageSize", 2)
     return _build("camera", Camera, axis, size)
 
 
 def _parse_lighting(data: Any) -> LightingParams:
     allowed = {"model", "lightDir", "ambient", "diffuse", "specular", "shininess"}
     data = _section(data, "lighting", allowed)
-    raw_model = data.get("model", "phong")
-    try:
-        model = LightModel(raw_model)
-    except ValueError:
-        raise ConfigError(
-            f"lighting.model: expected 'simple', 'lambertian' or 'phong', got {raw_model!r}"
-        )
-    raw_dir = data.get("lightDir")
-    if raw_dir is None:
-        light_dir = DEFAULT_LIGHT_DIR
-    else:
-        vec = _vector(raw_dir, "lighting.lightDir", 3)
-        light_dir = _build("lighting.lightDir", normalize3, vec)
     kwargs = {}
+    if "model" in data:
+        models = [m.value for m in LightModel]
+        kwargs["model"] = LightModel(_choice(data["model"], "lighting.model", models))
+    if data.get("lightDir") is not None:
+        vec = _vector(data["lightDir"], "lighting.lightDir", 3)
+        kwargs["light_dir"] = _build("lighting.lightDir", normalize3, vec)
     for name in ("ambient", "diffuse", "specular", "shininess"):
         if name in data:
             kwargs[name] = _number(data[name], f"lighting.{name}")
-    return _build("lighting", LightingParams, model, light_dir, **kwargs)
+    # an absent key keeps RenderConfig's default lighting
+    return _build("lighting", replace, RenderConfig.lighting, **kwargs)
 
 
 _TOP_KEYS = {
@@ -288,13 +287,11 @@ def parse_config_data(data: Any) -> RenderConfig:
     embedding = _parse_embedding(data.get("embedding", {}))
     camera = _parse_camera(data.get("camera", {}))
     lighting = _parse_lighting(data.get("lighting", {}))
-    k_refine = _integer(data.get("kRefine", 20), "kRefine")
+    k_refine = _integer(data.get("kRefine", RenderConfig.k_refine), "kRefine")
     if k_refine < 0:
         raise ConfigError("kRefine: must be non-negative")
-    palette = data.get("palette", "gray")
-    if palette not in ("gray", "steps"):
-        raise ConfigError(f"palette: expected 'gray' or 'steps', got {palette!r}")
-    output_path = data.get("outputPath", "out.ppm")
+    palette = _choice(data.get("palette", RenderConfig.palette), "palette", _PALETTES)
+    output_path = data.get("outputPath", RenderConfig.output_path)
     if not isinstance(output_path, str):
         raise ConfigError("outputPath: expected a string")
 
@@ -333,20 +330,16 @@ def parse_config(text: str) -> RenderConfig:
     return parse_config_data(_load_json(text))
 
 
-def _quat_json(q: Quaternion) -> list[float]:
-    return [q.r, q.m, q.n, q.p]
+def _listed(v):
+    """v with each tuple in it, Quaternions included, made a list."""
+    return [_listed(c) for c in v] if isinstance(v, tuple) else v
 
 
 def _map_json(spec: MapSpec) -> dict:
-    if spec.kind == "quadratic":
-        return {"kind": "quadratic", "p": _quat_json(spec.p), "q": _quat_json(spec.q)}
-    if spec.kind == "rational":
-        return {
-            "kind": "rational",
-            "numerator": [_quat_json(c) for c in spec.numerator],
-            "denominator": [_quat_json(c) for c in spec.denominator],
-        }
-    return {"kind": "newton", "polynomial": list(spec.polynomial)}
+    data = {"kind": spec.kind}
+    for key in _MAP_KINDS[spec.kind]:
+        data[key] = _listed(getattr(spec, key))
+    return data
 
 
 def config_data(cfg: RenderConfig) -> dict:
@@ -406,7 +399,5 @@ def parse_sweep(text: str) -> SweepSpec:
     parsed_radii = tuple(_number(r, "radii") for r in radii)
     if any(r <= 0 for r in parsed_radii):
         raise ConfigError("radii: must be positive")
-    parsed_counts = tuple(_integer(c, "iterationCounts") for c in counts)
-    if any(c < 1 for c in parsed_counts):
-        raise ConfigError("iterationCounts: must be at least 1")
+    parsed_counts = tuple(_iterations(c, "iterationCounts") for c in counts)
     return SweepSpec(parsed_radii, parsed_counts, base)

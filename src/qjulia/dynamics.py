@@ -240,6 +240,10 @@ class OrbitOutcome(NamedTuple):
     last: Optional[Quaternion] = None
 
 
+# step counts are stored as uint32 (field, oracle2d, DepthMap and QJF1)
+_MAX_ITER = 2**32 - 1
+
+
 @dataclass(frozen=True)
 class ClassifierParams:
     method: ClassifierMethod
@@ -250,8 +254,8 @@ class ClassifierParams:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 1 <= self.max_iter <= _MAX_ITER:
+            raise ValueError(f"max_iter must lie in [1, {_MAX_ITER}]")
         if self.cutoff_count is None:
             object.__setattr__(self, "cutoff_count", max(1, self.max_iter // 2))
         if not 1 <= self.cutoff_count <= self.max_iter:

@@ -98,7 +98,9 @@ class Embedding:
     fixed_value: float = 0.0
 
     def __post_init__(self):
-        if len(set(self.axes)) != 3 or any(a not in _COMPONENTS for a in self.axes):
+        # membership in the tuple compares with ==, so a non-string axis
+        # fails it before set() could meet an unhashable one
+        if any(a not in _COMPONENTS for a in self.axes) or len(set(self.axes)) != 3:
             raise ValueError("axes must be three distinct quaternion components")
 
     @property

@@ -119,37 +119,33 @@ class Outcome2d(NamedTuple):
 
 
 def classify2d(F: CMap, seed: Complex, params: ClassifierParams) -> Outcome2d:
-    """Complex twin of dynamics.classify; same decision rules throughout."""
-    radius = params.radius
-    if params.method is ClassifierMethod.ESCAPE_TIME:
-        x, y = seed
-        first_out = 0
-        for n in range(1, params.max_iter + 1):
-            try:
-                x, y = _eval_cmap(F, x, y)
-            except Pole2d:
-                return Outcome2d(OutcomeKind.POLE_HIT, n)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                return Outcome2d(OutcomeKind.ESCAPED, first_out if first_out else n)
-            if first_out == 0 and math.sqrt(x * x + y * y) > radius:
-                first_out = n
-        if math.sqrt(x * x + y * y) > radius:
-            return Outcome2d(OutcomeKind.ESCAPED, first_out)
-        return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, Complex(x, y))
+    """Complex twin of dynamics.classify; same decision rules throughout.
 
+    One orbit loop: a pole ends it as PoleHit{n}, overflow to non-finite
+    as Escaped, and only the per-step test differs by method.
+    """
+    escape = params.method is ClassifierMethod.ESCAPE_TIME
+    radius = params.radius
     px, py = seed
+    first_out = 0
     for n in range(1, params.max_iter + 1):
         try:
             x, y = _eval_cmap(F, px, py)
         except Pole2d:
             return Outcome2d(OutcomeKind.POLE_HIT, n)
         if not (math.isfinite(x) and math.isfinite(y)):
-            return Outcome2d(OutcomeKind.ESCAPED, n)
-        dx = x - px
-        dy = y - py
-        if math.sqrt(dx * dx + dy * dy) < radius:
-            return Outcome2d(OutcomeKind.CONVERGED, n, Complex(x, y))
+            return Outcome2d(OutcomeKind.ESCAPED, first_out if first_out else n)
+        if escape:
+            if first_out == 0 and math.sqrt(x * x + y * y) > radius:
+                first_out = n
+        else:
+            dx = x - px
+            dy = y - py
+            if math.sqrt(dx * dx + dy * dy) < radius:
+                return Outcome2d(OutcomeKind.CONVERGED, n, Complex(x, y))
         px, py = x, y
+    if escape and math.sqrt(px * px + py * py) > radius:
+        return Outcome2d(OutcomeKind.ESCAPED, first_out)
     return Outcome2d(OutcomeKind.INDETERMINATE, params.max_iter, Complex(px, py))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from qjulia import field as fld
 from qjulia.dynamics import ClassifierParams, QRationalMap, plotted_bits
 
+_PALETTES = ("gray", "steps")
 _VIEW_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1), "+z": (2, 1), "-z": (2, -1)}
 
 
@@ -51,7 +52,8 @@ class Camera:
     image_size: tuple[int, int] = (128, 128)
 
     def __post_init__(self):
-        if self.view_axis not in _VIEW_AXES:
+        # the string test comes first: an unhashable axis cannot be looked up
+        if not isinstance(self.view_axis, str) or self.view_axis not in _VIEW_AXES:
             raise ValueError(f"view_axis must be one of {sorted(_VIEW_AXES)}")
         w, h = self.image_size
         if w < 1 or h < 1:
@@ -257,7 +259,7 @@ def render_image(
 ) -> np.ndarray:
     """First-hit render; uint8 grayscale (h, w), or RGB (h, w, 3) for the
     steps palette, which colors hits by convergence step count."""
-    if palette not in ("gray", "steps"):
+    if palette not in _PALETTES:
         raise ValueError("palette must be 'gray' or 'steps'")
     dm = cast_rays(F, region, emb, params, camera, k_refine, workers)
     h, w = dm.hit.shape

@@ -15,6 +15,20 @@ from qjulia.dynamics import (
 from qjulia.quat import Quaternion
 
 
+# (job entries over a valid Newton job, the key its one error line names):
+# values of a type no reader expects, some unhashable, and a maxIter beyond
+# the uint32 step counts
+MALFORMED_JOBS = [
+    ({"camera": {"viewAxis": ["+z"]}}, "camera"),
+    ({"camera": {"viewAxis": {"a": 1}}}, "camera"),
+    ({"embedding": {"axes": [["r"], "m", "n"]}}, "embedding.axes"),
+    ({"method": ["escape"]}, "method"),
+    ({"palette": ["gray"]}, "palette"),
+    ({"map": {"kind": ["newton"], "polynomial": [-1, 0, 0, 1]}}, "map.kind"),
+    ({"maxIter": 5000000000}, "maxIter"),
+]
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running or unreaped."""

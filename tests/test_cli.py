@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import MALFORMED_JOBS
 
 from qjulia import field, render
 from qjulia.cli import main
@@ -144,6 +145,16 @@ def test_workers_is_not_a_config_key(tmp_path, capsys):
     # the worker count changes no output byte, so only --workers sets it
     assert main(["render", tiny_newton(tmp_path, workers=2)]) == 1
     assert capsys.readouterr().err == "error: unknown key workers\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("entries, key", MALFORMED_JOBS)
+@pytest.mark.parametrize("command", ["render", "slice"])
+def test_malformed_job_is_one_error_line_naming_its_key(tmp_path, capsys, command, entries, key):
+    assert main([command, tiny_newton(tmp_path, **entries)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 

@@ -1,8 +1,10 @@
+import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from conftest import MALFORMED_JOBS
 
 from qjulia.config import (
     ConfigError,
@@ -81,7 +83,14 @@ def test_full_config_parses():
     assert cfg.slice_resolution == (33, 21)
 
 
-@pytest.mark.parametrize("text", [MINIMAL, FULL])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("text", [
+    MINIMAL,
+    FULL,
+    (CONFIGS / "interweaving_basins.json").read_text(),  # the rational kind
+])
 def test_round_trip(text):
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
@@ -160,12 +169,20 @@ def test_scalar_and_array_quaternions_agree():
             "radius",
             id="radius-integer-beyond-float-range",
         ),
+        ('{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "maxIter": 4294967296}', "maxIter"),
+        ('{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "lighting": {"model": ["phong"]}}', "lighting.model"),
+        *((json.dumps({**json.loads(MINIMAL), **entries}), key) for entries, key in MALFORMED_JOBS),
     ],
 )
 def test_validation_names_offending_key(text, needle):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert needle in str(exc.value)
+
+
+def test_max_iter_may_fill_the_uint32_step_range():
+    text = '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "maxIter": 4294967295}'
+    assert parse_config(text).params.max_iter == 2**32 - 1
 
 
 def test_readme_schema_parses():
@@ -219,6 +236,7 @@ def test_sweep_cell_params_clamp_cutoff_count():
     [
         ('{"radii": [], "iterationCounts": [5], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}}', "radii"),
         ('{"radii": [1.0], "iterationCounts": [0], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}}', "iterationCounts"),
+        ('{"radii": [1.0], "iterationCounts": [4294967296], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}}', "iterationCounts"),
         ('{"radii": [1.0], "iterationCounts": [5]}', "base"),
         ('{"radii": [1.0], "iterationCounts": [5], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}, "extra": 1}', "extra"),
     ],

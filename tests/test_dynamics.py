@@ -104,6 +104,10 @@ def test_params_validation():
         dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1.0, 10, 11)
     with pytest.raises(ValueError):
         dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1.0, 0)
+    # step counts are stored as uint32
+    with pytest.raises(ValueError):
+        dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1.0, 2**32)
+    assert dyn.ClassifierParams(dyn.ClassifierMethod.ESCAPE_TIME, 2.0, 2**32 - 1).max_iter == 2**32 - 1
     p = dyn.ClassifierParams(dyn.ClassifierMethod.CUTOFF_RATE, 1e-3, 50)
     assert p.cutoff_count == 25
 
