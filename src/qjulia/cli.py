@@ -108,20 +108,9 @@ def _complex_section(F: QRationalMap) -> oracle2d.CMap:
 
 def run_slice(args) -> int:
     cfg = parse_config(_read_text(args.config))
-    window = cfg.slice_window or (
-        cfg.region.min[0],
-        cfg.region.max[0],
-        cfg.region.min[1],
-        cfg.region.max[1],
-    )
-    resolution = cfg.slice_resolution or (
-        cfg.region.resolution[0],
-        cfg.region.resolution[1],
-    )
     out = args.out or str(Path(cfg.output_path).with_suffix(".pgm"))
-    bits = oracle2d.render_slice2d(
-        _complex_section(cfg.map.build()), window, resolution, cfg.params
-    )
+    F = _complex_section(cfg.map.build())
+    bits = oracle2d.render_slice2d(F, cfg.slice_window, cfg.slice_resolution, cfg.params)
     _write_output(out, lambda tmp: oracle2d.write_pgm(tmp, bits))
     return 0
 

@@ -6,12 +6,16 @@ real), polynomials as ascending-degree coefficient arrays.  parse and
 serialize round-trip: parse(serialize(cfg)) == cfg.
 
 Unknown or malformed keys raise ConfigError with the offending key in
-the message rather than being ignored.  Each shape check has one
-reader: _array for non-empty arrays, _section for nested objects and
-their keys, _choice for a string from a fixed set, _build for a
-constructor's ValueError.  _MAP_KINDS lists each map kind's keys and
-their readers; _parse_map and _map_json both follow it.  A default is
-written once, in the dataclass that declares it, and read from there.
+the message rather than being ignored; null is malformed for every key.
+Each shape check has one reader: _array and _tuple_of for arrays,
+_choice for a string from a fixed set, _build for a constructor's
+ValueError.  Each key is named once, in a table that the parser and
+config_data both follow: _MAP_KINDS for the map kinds, _SECTIONS for
+the nested sections and _SLICE for the slice block.  A default is
+written once, in the dataclass that declares it, and an absent key,
+inside a section too, keeps it.  The slice block defaults to the
+region's x/y window and resolution, and every command checks it against
+oracle2d's bounds before any work.
 
 A job says what to compute, not how: the worker count is the CLI's
 --workers option, and a "workers" key is an unknown key.
@@ -19,12 +23,13 @@ A job says what to compute, not how: the worker count is the CLI's
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from qjulia import dynamics
+from qjulia import dynamics, oracle2d
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, QRationalMap
 from qjulia.field import Embedding, Region3
 from qjulia.quat import Quaternion
@@ -35,10 +40,8 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_REGION = Region3((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (65, 65, 65))
 DEFAULT_RADIUS = {ClassifierMethod.ESCAPE_TIME: 2.0, ClassifierMethod.CUTOFF_RATE: 1e-3}
 DEFAULT_MAX_ITER = 50
-DEFAULT_LIGHT_DIR = normalize3((0.35, 0.45, 0.9))
 
 
 @dataclass(frozen=True)
@@ -68,15 +71,24 @@ class MapSpec:
 class RenderConfig:
     map: MapSpec
     params: ClassifierParams
-    region: Region3 = DEFAULT_REGION
+    region: Region3 = Region3((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (65, 65, 65))
     embedding: Embedding = Embedding()
     camera: Camera = Camera()
-    lighting: LightingParams = LightingParams(light_dir=DEFAULT_LIGHT_DIR)
+    lighting: LightingParams = LightingParams(light_dir=normalize3((0.35, 0.45, 0.9)))
     k_refine: int = 20
     palette: str = "gray"
     output_path: str = "out.ppm"
     slice_window: Optional[tuple[float, float, float, float]] = None
     slice_resolution: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        # the slice defaults to the region's x/y window and resolution
+        r = self.region
+        if self.slice_window is None:
+            window = (r.min[0], r.max[0], r.min[1], r.max[1])
+            object.__setattr__(self, "slice_window", window)
+        if self.slice_resolution is None:
+            object.__setattr__(self, "slice_resolution", r.resolution[:2])
 
 
 @dataclass(frozen=True)
@@ -146,16 +158,15 @@ def _quaternion(v: Any, key: str) -> Quaternion:
     raise ConfigError(f"{key}: expected a number or [r, m, n, p]")
 
 
-def _vector(v: Any, key: str, length: int) -> tuple:
-    if not isinstance(v, list) or len(v) != length:
-        raise ConfigError(f"{key}: expected an array of {length} numbers")
-    return tuple(_number(c, key) for c in v)
+def _tuple_of(read, length: int, items: str):
+    """Reader of an array of length items, each read by read()."""
 
+    def reader(v: Any, key: str) -> tuple:
+        if not isinstance(v, list) or len(v) != length:
+            raise ConfigError(f"{key}: expected an array of {length} {items}")
+        return tuple(read(c, key) for c in v)
 
-def _integers(v: Any, key: str, length: int) -> tuple:
-    if not isinstance(v, list) or len(v) != length:
-        raise ConfigError(f"{key}: expected an array of {length} integers")
-    return tuple(_integer(c, key) for c in v)
+    return reader
 
 
 def _array(v: Any, key: str) -> list:
@@ -169,17 +180,10 @@ def _array_of(read):
     return lambda v, key: tuple(read(c, key) for c in _array(v, key))
 
 
-def _check_keys(data: dict, allowed: set[str], ctx: str) -> None:
+def _check_keys(data: dict, allowed, ctx: str) -> None:
     for k in data:
         if k not in allowed:
             raise ConfigError(f"unknown key {ctx}{k}")
-
-
-def _section(data: Any, name: str, allowed: set[str]) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected an object")
-    _check_keys(data, allowed, f"{name}.")
-    return data
 
 
 def _build(name: str, make, *args, **kwargs):
@@ -188,6 +192,29 @@ def _build(name: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _checked(read, check):
+    """Reader of what read() reads, passed through check() under its key."""
+    return lambda v, key: _build(key, check, read(v, key))
+
+
+def _enum(kind):
+    """Reader of one of kind's values, as its member."""
+    values = [m.value for m in kind]
+    return lambda v, key: kind(_choice(v, key, values))
+
+
+def _as_is(v: Any, key: str) -> Any:
+    """v itself, for a value the dataclass it fills checks."""
+    return v
+
+
+def _radius(v: Any, key: str) -> float:
+    r = _number(v, key)
+    if r <= 0:
+        raise ConfigError(f"{key}: must be positive")
+    return r
 
 
 # each map kind's keys, which are also MapSpec's fields, with their readers
@@ -199,6 +226,65 @@ _MAP_KINDS = {
     },
     "newton": {"polynomial": _array_of(_number)},
 }
+
+# RenderConfig's nested sections, each under its field's name: their keys
+# in written order, each with the dataclass field it sets and its reader
+_SECTIONS = {
+    "region": {
+        "min": ("min", _tuple_of(_number, 3, "numbers")),
+        "max": ("max", _tuple_of(_number, 3, "numbers")),
+        "resolution": ("resolution", _tuple_of(_integer, 3, "integers")),
+    },
+    "embedding": {
+        "axes": (
+            "axes",
+            _checked(_tuple_of(_as_is, 3, "component names"), lambda a: Embedding(a).axes),
+        ),
+        "fixedValue": ("fixed_value", _number),
+    },
+    "camera": {
+        "viewAxis": ("view_axis", _as_is),
+        "imageSize": ("image_size", _tuple_of(_integer, 2, "integers")),
+    },
+    "lighting": {
+        "model": ("model", _enum(LightModel)),
+        "lightDir": ("light_dir", _checked(_tuple_of(_number, 3, "numbers"), normalize3)),
+        "ambient": ("ambient", _number),
+        "diffuse": ("diffuse", _number),
+        "specular": ("specular", _number),
+        "shininess": ("shininess", _number),
+    },
+}
+# the slice block sets RenderConfig's own fields, with oracle2d's bounds
+_SLICE = {
+    "window": (
+        "slice_window",
+        _checked(_tuple_of(_number, 4, "numbers"), oracle2d.checked_window),
+    ),
+    "resolution": (
+        "slice_resolution",
+        _checked(_tuple_of(_integer, 2, "integers"), oracle2d.checked_resolution),
+    ),
+}
+
+_TOP_KEYS = {
+    "map", "method", "radius", "maxIter", "cutoffCount", *_SECTIONS, "kRefine",
+    "palette", "outputPath", "slice",
+}
+
+
+def _read_section(data: dict, name: str, keys: dict) -> dict:
+    """The fields that the keys present in data[name] set; an absent key
+    sets none, so its field keeps its default."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object")
+    _check_keys(section, keys, f"{name}.")
+    return {
+        field: read(section[key], f"{name}.{key}")
+        for key, (field, read) in keys.items()
+        if key in section
+    }
 
 
 def _parse_map(data: Any) -> MapSpec:
@@ -214,67 +300,15 @@ def _parse_map(data: Any) -> MapSpec:
 
 
 def _parse_params(data: dict) -> ClassifierParams:
-    methods = [m.value for m in ClassifierMethod]
-    method = ClassifierMethod(_choice(data.get("method", "cutoff"), "method", methods))
-    radius = _number(data.get("radius", DEFAULT_RADIUS[method]), "radius")
-    if radius <= 0:
-        raise ConfigError("radius: must be positive")
+    method = _enum(ClassifierMethod)(data.get("method", "cutoff"), "method")
+    radius = _radius(data.get("radius", DEFAULT_RADIUS[method]), "radius")
     max_iter = _iterations(data.get("maxIter", DEFAULT_MAX_ITER), "maxIter")
-    cutoff_count = data.get("cutoffCount")
-    if cutoff_count is not None:
-        cutoff_count = _integer(cutoff_count, "cutoffCount")
+    cutoff_count = ClassifierParams.cutoff_count  # half of maxIter
+    if "cutoffCount" in data:
+        cutoff_count = _integer(data["cutoffCount"], "cutoffCount")
         if not 1 <= cutoff_count <= max_iter:
             raise ConfigError("cutoffCount: must satisfy 1 <= cutoffCount <= maxIter")
     return ClassifierParams(method, radius, max_iter, cutoff_count)
-
-
-def _parse_region(data: Any) -> Region3:
-    data = _section(data, "region", {"min", "max", "resolution"})
-    mn = _vector(_need(data, "min", "region."), "region.min", 3)
-    mx = _vector(_need(data, "max", "region."), "region.max", 3)
-    res = _integers(_need(data, "resolution", "region."), "region.resolution", 3)
-    return _build("region", Region3, mn, mx, res)
-
-
-def _parse_embedding(data: Any) -> Embedding:
-    data = _section(data, "embedding", {"axes", "fixedValue"})
-    axes = data.get("axes", list(Embedding.axes))
-    if not isinstance(axes, list) or len(axes) != 3:
-        raise ConfigError("embedding.axes: expected an array of 3 component names")
-    fixed = data.get("fixedValue", Embedding.fixed_value)
-    fixed = _number(fixed, "embedding.fixedValue")
-    return _build("embedding.axes", Embedding, tuple(axes), fixed)
-
-
-def _parse_camera(data: Any) -> Camera:
-    data = _section(data, "camera", {"viewAxis", "imageSize"})
-    axis = data.get("viewAxis", Camera.view_axis)
-    size = data.get("imageSize", list(Camera.image_size))
-    size = _integers(size, "camera.imageSize", 2)
-    return _build("camera", Camera, axis, size)
-
-
-def _parse_lighting(data: Any) -> LightingParams:
-    allowed = {"model", "lightDir", "ambient", "diffuse", "specular", "shininess"}
-    data = _section(data, "lighting", allowed)
-    kwargs = {}
-    if "model" in data:
-        models = [m.value for m in LightModel]
-        kwargs["model"] = LightModel(_choice(data["model"], "lighting.model", models))
-    if data.get("lightDir") is not None:
-        vec = _vector(data["lightDir"], "lighting.lightDir", 3)
-        kwargs["light_dir"] = _build("lighting.lightDir", normalize3, vec)
-    for name in ("ambient", "diffuse", "specular", "shininess"):
-        if name in data:
-            kwargs[name] = _number(data[name], f"lighting.{name}")
-    # an absent key keeps RenderConfig's default lighting
-    return _build("lighting", replace, RenderConfig.lighting, **kwargs)
-
-
-_TOP_KEYS = {
-    "map", "method", "radius", "maxIter", "cutoffCount", "region", "embedding",
-    "camera", "lighting", "kRefine", "palette", "outputPath", "slice",
-}
 
 
 def parse_config_data(data: Any) -> RenderConfig:
@@ -283,10 +317,10 @@ def parse_config_data(data: Any) -> RenderConfig:
     _check_keys(data, _TOP_KEYS, "")
     map_spec = _parse_map(_need(data, "map"))
     params = _parse_params(data)
-    region = _parse_region(data["region"]) if "region" in data else DEFAULT_REGION
-    embedding = _parse_embedding(data.get("embedding", {}))
-    camera = _parse_camera(data.get("camera", {}))
-    lighting = _parse_lighting(data.get("lighting", {}))
+    sections = {}
+    for name, keys in _SECTIONS.items():
+        fields = _read_section(data, name, keys)
+        sections[name] = _build(name, replace, getattr(RenderConfig, name), **fields)
     k_refine = _integer(data.get("kRefine", RenderConfig.k_refine), "kRefine")
     if k_refine < 0:
         raise ConfigError("kRefine: must be non-negative")
@@ -294,28 +328,14 @@ def parse_config_data(data: Any) -> RenderConfig:
     output_path = data.get("outputPath", RenderConfig.output_path)
     if not isinstance(output_path, str):
         raise ConfigError("outputPath: expected a string")
-
-    slice_window = None
-    slice_resolution = None
-    if "slice" in data:
-        sl = _section(data["slice"], "slice", {"window", "resolution"})
-        if "window" in sl:
-            slice_window = _vector(sl["window"], "slice.window", 4)
-        if "resolution" in sl:
-            slice_resolution = _integers(sl["resolution"], "slice.resolution", 2)
-
     return RenderConfig(
         map=map_spec,
         params=params,
-        region=region,
-        embedding=embedding,
-        camera=camera,
-        lighting=lighting,
         k_refine=k_refine,
         palette=palette,
         output_path=output_path,
-        slice_window=slice_window,
-        slice_resolution=slice_resolution,
+        **sections,
+        **_read_section(data, "slice", _SLICE),
     )
 
 
@@ -330,57 +350,33 @@ def parse_config(text: str) -> RenderConfig:
     return parse_config_data(_load_json(text))
 
 
-def _listed(v):
-    """v with each tuple in it, Quaternions included, made a list."""
-    return [_listed(c) for c in v] if isinstance(v, tuple) else v
+def _json(v):
+    """v as JSON data: each tuple in it, Quaternions included, a list and
+    each enum its value."""
+    if isinstance(v, tuple):
+        return [_json(c) for c in v]
+    return v.value if isinstance(v, enum.Enum) else v
 
 
-def _map_json(spec: MapSpec) -> dict:
-    data = {"kind": spec.kind}
-    for key in _MAP_KINDS[spec.kind]:
-        data[key] = _listed(getattr(spec, key))
-    return data
+def _fields_json(obj, keys: dict) -> dict:
+    return {key: _json(getattr(obj, field)) for key, (field, _) in keys.items()}
 
 
 def config_data(cfg: RenderConfig) -> dict:
+    spec = cfg.map
     data = {
-        "map": _map_json(cfg.map),
+        "map": {"kind": spec.kind, **{k: _json(getattr(spec, k)) for k in _MAP_KINDS[spec.kind]}},
         "method": cfg.params.method.value,
         "radius": cfg.params.radius,
         "maxIter": cfg.params.max_iter,
         "cutoffCount": cfg.params.cutoff_count,
-        "region": {
-            "min": list(cfg.region.min),
-            "max": list(cfg.region.max),
-            "resolution": list(cfg.region.resolution),
-        },
-        "embedding": {
-            "axes": list(cfg.embedding.axes),
-            "fixedValue": cfg.embedding.fixed_value,
-        },
-        "camera": {
-            "viewAxis": cfg.camera.view_axis,
-            "imageSize": list(cfg.camera.image_size),
-        },
-        "lighting": {
-            "model": cfg.lighting.model.value,
-            "lightDir": list(cfg.lighting.light_dir),
-            "ambient": cfg.lighting.ambient,
-            "diffuse": cfg.lighting.diffuse,
-            "specular": cfg.lighting.specular,
-            "shininess": cfg.lighting.shininess,
-        },
-        "kRefine": cfg.k_refine,
-        "palette": cfg.palette,
-        "outputPath": cfg.output_path,
     }
-    if cfg.slice_window is not None or cfg.slice_resolution is not None:
-        sl = {}
-        if cfg.slice_window is not None:
-            sl["window"] = list(cfg.slice_window)
-        if cfg.slice_resolution is not None:
-            sl["resolution"] = list(cfg.slice_resolution)
-        data["slice"] = sl
+    for name, keys in _SECTIONS.items():
+        data[name] = _fields_json(getattr(cfg, name), keys)
+    data["kRefine"] = cfg.k_refine
+    data["palette"] = cfg.palette
+    data["outputPath"] = cfg.output_path
+    data["slice"] = _fields_json(cfg, _SLICE)
     return data
 
 
@@ -393,11 +389,6 @@ def parse_sweep(text: str) -> SweepSpec:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(data, {"radii", "iterationCounts", "base"}, "")
-    radii = _array(data.get("radii"), "radii")
-    counts = _array(data.get("iterationCounts"), "iterationCounts")
-    base = parse_config_data(_need(data, "base"))
-    parsed_radii = tuple(_number(r, "radii") for r in radii)
-    if any(r <= 0 for r in parsed_radii):
-        raise ConfigError("radii: must be positive")
-    parsed_counts = tuple(_iterations(c, "iterationCounts") for c in counts)
-    return SweepSpec(parsed_radii, parsed_counts, base)
+    radii = _array_of(_radius)(data.get("radii"), "radii")
+    counts = _array_of(_iterations)(data.get("iterationCounts"), "iterationCounts")
+    return SweepSpec(radii, counts, parse_config_data(_need(data, "base")))

@@ -223,6 +223,22 @@ def is_plotted2d(outcome: Outcome2d, params: ClassifierParams) -> bool:
     return bool(_plotted2d_bits(outcome.kind, outcome.steps, params))
 
 
+# render_slice2d's bounds; config checks a job's slice block with them too
+def checked_window(window: tuple[float, float, float, float]):
+    """window, if it has positive extent on both axes."""
+    xmin, xmax, ymin, ymax = window
+    if not (xmin < xmax and ymin < ymax):
+        raise ValueError("window must have positive extent")
+    return window
+
+
+def checked_resolution(resolution: tuple[int, int]):
+    """resolution, if it samples each axis at both ends."""
+    if min(resolution) < 2:
+        raise ValueError("resolution components must be >= 2")
+    return resolution
+
+
 def render_slice2d(
     F: CMap,
     window: tuple[float, float, float, float],
@@ -235,12 +251,8 @@ def render_slice2d(
     volume scanner uses, so a 2-D slice and the matching 3-D mid-plane
     sample identical complex numbers.
     """
-    xmin, xmax, ymin, ymax = window
-    nx, ny = resolution
-    if nx < 2 or ny < 2:
-        raise ValueError("resolution components must be >= 2")
-    if not (xmin < xmax and ymin < ymax):
-        raise ValueError("window must have positive extent")
+    xmin, xmax, ymin, ymax = checked_window(window)
+    nx, ny = checked_resolution(resolution)
     dx = (xmax - xmin) / (nx - 1)
     dy = (ymax - ymin) / (ny - 1)
     total = nx * ny

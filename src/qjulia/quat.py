@@ -93,16 +93,6 @@ def inverse(a: Quaternion) -> Quaternion:
     return Quaternion(a.r / ns, -a.m / ns, -a.n / ns, -a.p / ns)
 
 
-def pow_int(a: Quaternion, k: int) -> Quaternion:
-    """k-fold Hamilton product of a with itself; pow_int(a, 0) is 1."""
-    if k < 0:
-        raise ValueError("exponent must be non-negative")
-    out = ONE
-    for _ in range(k):
-        out = mul(out, a)
-    return out
-
-
 def distance(a: Quaternion, b: Quaternion) -> float:
     """Euclidean distance |a - b| between two quaternions."""
     dr = a.r - b.r

@@ -16,8 +16,9 @@ from qjulia.quat import Quaternion
 
 
 # (job entries over a valid Newton job, the key its one error line names):
-# values of a type no reader expects, some unhashable, and a maxIter beyond
-# the uint32 step counts
+# values of a type no reader expects, some unhashable, a maxIter beyond
+# the uint32 step counts, slice blocks outside the slice's bounds, and
+# nulls, which no key takes
 MALFORMED_JOBS = [
     ({"camera": {"viewAxis": ["+z"]}}, "camera"),
     ({"camera": {"viewAxis": {"a": 1}}}, "camera"),
@@ -26,6 +27,10 @@ MALFORMED_JOBS = [
     ({"palette": ["gray"]}, "palette"),
     ({"map": {"kind": ["newton"], "polynomial": [-1, 0, 0, 1]}}, "map.kind"),
     ({"maxIter": 5000000000}, "maxIter"),
+    ({"slice": {"resolution": [1, 5]}}, "slice.resolution"),
+    ({"slice": {"window": [1, -1, 0, 1]}}, "slice.window"),
+    ({"lighting": {"lightDir": None}}, "lighting.lightDir"),
+    ({"cutoffCount": None}, "cutoffCount"),
 ]
 
 

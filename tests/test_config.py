@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import MALFORMED_JOBS
 
 from qjulia.config import (
     ConfigError,
+    RenderConfig,
     parse_config,
     parse_sweep,
     serialize_config,
@@ -89,11 +91,21 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.mark.parametrize("text", [
     MINIMAL,
     FULL,
-    (CONFIGS / "interweaving_basins.json").read_text(),  # the rational kind
+    # every bundled render job, interweaving_basins (the rational kind) first
+    *(p.read_text() for p in sorted(CONFIGS.glob("*.json")) if p.name != "sweep_newton.json"),
+    json.dumps(json.loads((CONFIGS / "sweep_newton.json").read_text())["base"]),
 ])
 def test_round_trip(text):
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_absent_section_key_keeps_its_default():
+    cfg = parse_config(json.dumps({**json.loads(MINIMAL), "region": {"resolution": [9, 9, 9]}}))
+    assert cfg.region == replace(RenderConfig.region, resolution=(9, 9, 9))
+    # the slice follows the region it defaults to
+    assert cfg.slice_window == (-2.0, 2.0, -2.0, 2.0)
+    assert cfg.slice_resolution == (9, 9)
 
 
 def test_scalar_and_array_quaternions_agree():

@@ -63,14 +63,6 @@ def test_inverse_near_zero_raises():
         quat.inverse(Quaternion(1e-200, 0.0, 0.0, 0.0))
 
 
-def test_pow_int():
-    assert quat.pow_int(I, 2) == Quaternion(-1.0, 0.0, 0.0, 0.0)
-    assert quat.pow_int(Quaternion(0.0, 5.0, -2.0, 1.0), 0) == quat.ONE
-    assert quat.pow_int(Quaternion(2.0, 0.0, 0.0, 0.0), 3) == Quaternion(8.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        quat.pow_int(I, -1)
-
-
 def test_distance():
     q = Quaternion(3.0, -1.0, 0.5, 2.0)
     assert quat.distance(q, q) == 0.0
