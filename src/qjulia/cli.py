@@ -99,7 +99,7 @@ def run_render(args) -> int:
 
 def _complex_section(F: QRationalMap) -> oracle2d.CMap:
     if not F.is_real:
-        raise ConfigError("slice requires a map with real coefficients")
+        raise ConfigError("map: slice requires real coefficients")
     return oracle2d.cmap(
         tuple(c.r for c in F.numerator.coeffs),
         tuple(c.r for c in F.denominator.coeffs),
@@ -130,12 +130,12 @@ def run_sweep(args) -> int:
     out = args.out or str(Path(base.output_path).with_suffix(".csv"))
     out_path = Path(out)
     F = base.map.build()
-    cells = spec.cells()
-    cell_params = [spec.cell_params(radius, max_iter) for radius, max_iter in cells]
+    cells = [spec.cell_params(radius, max_iter) for radius, max_iter in spec.cells()]
     # one orbit pass per voxel answers every cell
-    stack = field.scan(F, base.region, base.embedding, cell_params, workers=args.workers)
+    stack = field.scan(F, base.region, base.embedding, cells, workers=args.workers)
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
-    for (radius, max_iter), fld in zip(cells, stack.fields):
+    for fld in stack.fields:
+        radius, max_iter = fld.params.radius, fld.params.max_iter
         plotted, escaped, converged, mean_steps = _sweep_row(fld)
         lines.append(
             f"{radius:g},{max_iter},{plotted:.6f},{escaped:.6f},"

@@ -18,10 +18,10 @@ zero lower terms); on the finite iterates it is given, that can change
 only the sign of a zero, which no tag, step or depth sees.
 Only the orbit loops are twinned: ``classify`` runs on bare floats
 (r, m, n, p), with ``Quaternion`` only at the public edges, and
-``field._classify_cells`` is its batch mirror (its one-cell case,
-``field._classify_batch``, is what scans and renders use).  Keep the
-two loops' decisions in sync; the renderer relies on the scalar and
-batch paths agreeing bit for bit.
+``field._classify_cells`` is its batch mirror, which scans and renders
+run on their ClassifierParams cells.  Keep the two loops' decisions in
+sync; the renderer relies on the scalar and batch paths agreeing bit
+for bit.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ mirrors ``dynamics.classify`` decision for decision.  Scalar and
 vectorized classification agree bit for bit; that exact agreement is
 what makes scan results independent of the worker count.
 
-The batch classifier is one orbit loop over a list of (radius, max_iter)
-cells that share a method: a scan given several ClassifierParams (a
-sweep) iterates each voxel once, to the largest max_iter, and reads
-every cell's outcome from per-radius first-step records.  Its one-cell
-case, ``_classify_batch``, is the mirror of ``classify`` that ``scan``
-and the renderer use for a single parameter set.
+The batch classifier is one orbit loop over a sequence of
+ClassifierParams cells that share a method: a scan given several of them
+(a sweep) iterates each voxel once, to the largest max_iter, and reads
+every cell's outcome from per-radius first-step records.  Given one
+cell, it is the mirror of ``classify`` that the renderer samples with.
 
 The flat voxel index space is cut into fixed-size chunks whose
 boundaries never depend on how many workers run.  ``scan``'s workers
@@ -32,7 +31,6 @@ import mmap
 import os
 import pickle
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,7 +75,8 @@ class Region3:
     def step(self, axis: int) -> float:
         return (self.max[axis] - self.min[axis]) / (self.resolution[axis] - 1)
 
-    def coord(self, axis: int, index: int) -> float:
+    def coord(self, axis: int, index):
+        """Grid coordinate along axis of an int index or an int array."""
         return self.min[axis] + index * self.step(axis)
 
     @property
@@ -157,8 +156,11 @@ def _step_batch(F: QRationalMap, hr, hm, hn, hp):
         return (*dynamics._divide(nr, nm, nn, npp, dr, dm, dn, dp, ns), pole)
 
 
-def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn, hp):
-    """Vectorized dynamics.classify for several (radius, max_iter) cells at once.
+def _classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, hn, hp):
+    """Vectorized dynamics.classify for several cells at once.
+
+    The cells share cells[0]'s method; their radii and max_iter may
+    differ and repeat.
 
     The orbit does not depend on the radius, and a cell with a smaller
     max_iter sees a prefix of the longest orbit, so one pass to the
@@ -178,9 +180,9 @@ def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn
     gives identical results.
     """
     count = hr.size
-    escape = method is ClassifierMethod.ESCAPE_TIME
-    radii = sorted({radius for radius, _ in cells})
-    iters = sorted({max_iter for _, max_iter in cells})
+    escape = cells[0].method is ClassifierMethod.ESCAPE_TIME
+    radii = sorted({cell.radius for cell in cells})
+    iters = sorted({cell.max_iter for cell in cells})
     first = [np.zeros(count, dtype=np.uint32) for _ in radii]
     # NaN where a lane ended before that step, and NaN > radius is False
     norm_at = {m: np.full(count, np.nan) for m in iters} if escape else {}
@@ -232,9 +234,9 @@ def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn
 
     tags = np.empty((len(cells), count), dtype=np.uint8)
     steps = np.empty((len(cells), count), dtype=np.uint32)
-    for cell, (radius, max_iter) in enumerate(cells):
+    for tag, step, cell in zip(tags, steps, cells):
+        radius, max_iter = cell.radius, cell.max_iter
         hit = first[radii.index(radius)]
-        tag, step = tags[cell], steps[cell]
         tag[:] = OutcomeKind.INDETERMINATE
         step[:] = max_iter
         if escape:
@@ -255,17 +257,6 @@ def _classify_cells(F: QRationalMap, method: ClassifierMethod, cells, hr, hm, hn
     return tags, steps
 
 
-def _classify_batch(F: QRationalMap, params: ClassifierParams, hr, hm, hn, hp):
-    """Vectorized dynamics.classify: the one-cell case of _classify_cells.
-
-    Returns (tags uint8, steps uint32) shaped like hr.
-    """
-    tags, steps = _classify_cells(
-        F, params.method, [(params.radius, params.max_iter)], hr, hm, hn, hp
-    )
-    return tags[0], steps[0]
-
-
 @dataclass
 class ClassificationField:
     """Per-voxel outcome tags and step counts, shaped (nz, ny, nx).
@@ -275,7 +266,6 @@ class ClassificationField:
     """
 
     region: Region3
-    embedding: Embedding
     params: ClassifierParams
     tags: np.ndarray
     steps: np.ndarray
@@ -311,7 +301,6 @@ class FieldStack:
     """
 
     region: Region3
-    embedding: Embedding
     params: tuple[ClassifierParams, ...]
     tags: np.ndarray
     steps: np.ndarray
@@ -319,7 +308,7 @@ class FieldStack:
     @property
     def fields(self) -> list[ClassificationField]:
         return [
-            ClassificationField(self.region, self.embedding, p, t, s)
+            ClassificationField(self.region, p, t, s)
             for p, t, s in zip(self.params, self.tags, self.steps)
         ]
 
@@ -357,6 +346,8 @@ def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> Non
     ops of a batch; scan uses run_forked instead.  The first error raised
     by a chunk, in slice order, is re-raised.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     slices = _slices(total, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in slices]
@@ -477,33 +468,25 @@ def scan(
     cells = (params,) if single else tuple(params)
     if not cells:
         raise ValueError("scan needs at least one ClassifierParams")
-    method = cells[0].method
-    if any(p.method is not method for p in cells):
+    if any(p.method is not cells[0].method for p in cells):
         raise ValueError("all cells of one scan must share a classifier method")
-    radius_iter = [(p.radius, p.max_iter) for p in cells]
     nx, ny, nz = region.resolution
     total = region.voxel_count
     tags = _shared((len(cells), total), np.uint8)
     steps = _shared((len(cells), total), np.uint32)
-    dx, dy, dz = region.step(0), region.step(1), region.step(2)
 
     def run_chunk(lo: int, hi: int) -> None:
         flat = np.arange(lo, hi)
-        ix = flat % nx
-        iy = (flat // nx) % ny
-        iz = flat // (nx * ny)
-        xs = region.min[0] + ix.astype(np.float64) * dx
-        ys = region.min[1] + iy.astype(np.float64) * dy
-        zs = region.min[2] + iz.astype(np.float64) * dz
-        hr, hm, hn, hp = _embed_batch(emb, xs, ys, zs)
-        tags[:, lo:hi], steps[:, lo:hi] = _classify_cells(
-            F, method, radius_iter, hr, hm, hn, hp
+        ix, iy, iz = flat % nx, (flat // nx) % ny, flat // (nx * ny)
+        hr, hm, hn, hp = _embed_batch(
+            emb, region.coord(0, ix), region.coord(1, iy), region.coord(2, iz)
         )
+        tags[:, lo:hi], steps[:, lo:hi] = _classify_cells(F, cells, hr, hm, hn, hp)
 
     run_forked(run_chunk, total, workers)
 
     shape = (len(cells), nz, ny, nx)
-    stack = FieldStack(region, emb, cells, tags.reshape(shape), steps.reshape(shape))
+    stack = FieldStack(region, cells, tags.reshape(shape), steps.reshape(shape))
     return stack.fields[0] if single else stack
 
 

@@ -151,7 +151,7 @@ def cast_rays(
         coords[u_axis] = us[pix % w]
         coords[v_axis] = vs[pix // w]
         q = fld._embed_batch(emb, *coords)
-        tags, steps = fld._classify_batch(F, params, *q)
+        (tags,), (steps,) = fld._classify_cells(F, (params,), *q)
         return q, steps, plotted_bits(tags, steps, params)
 
     def march(lo: int, hi: int) -> None:

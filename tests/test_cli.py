@@ -158,6 +158,24 @@ def test_malformed_job_is_one_error_line_naming_its_key(tmp_path, capsys, comman
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
+def test_slice_refuses_non_real_map_naming_map(tmp_path, capsys):
+    # a quaternion q has no complex cross-section, but render takes it
+    cfg = write_cfg(tmp_path, "job.json", {
+        "map": {"kind": "quadratic", "p": 1, "q": [0, 0.5, 0, 0]},
+        "method": "escape",
+        "region": {"min": [-2, -2, -2], "max": [2, 2, 2], "resolution": [9, 9, 9]},
+        "camera": {"viewAxis": "+z", "imageSize": [8, 8]},
+        "outputPath": str(tmp_path / "out.ppm"),
+    })
+    assert main(["slice", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: map: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+    assert main(["render", cfg]) == 0
+    assert (tmp_path / "out.ppm").exists()
+
+
 def test_slice_unit_disc(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -456,15 +474,34 @@ def test_bad_key_names_key(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def _src_env() -> dict[str, str]:
+    """The caller's environment with the repo's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_module_entry_point(tmp_path):
     cfg = tiny_newton(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "qjulia", "render", cfg, "--workers", "1"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "out.ppm").exists()
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # only the ray march uses concurrent.futures; every other command
+    # skips its import (and the logging it pulls in)
+    probe = "import sys, qjulia.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("name", [

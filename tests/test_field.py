@@ -115,7 +115,7 @@ def test_batch_matches_scalar_on_random_seeds():
         hm = np.array([s.m for s in batch])
         hn = np.array([s.n for s in batch])
         hp = np.array([s.p for s in batch])
-        tags, steps = fld._classify_batch(F, params, hr, hm, hn, hp)
+        (tags,), (steps,) = fld._classify_cells(F, (params,), hr, hm, hn, hp)
         for i, s in enumerate(batch):
             want = dyn.classify(F, s, params)
             assert (OutcomeKind(int(tags[i])), int(steps[i])) == (want.kind, want.steps)
@@ -397,7 +397,6 @@ def test_save_csv_order_and_labels_on_non_cubic_grid(tmp_path):
     flat = np.arange(region.voxel_count)
     f = fld.ClassificationField(
         region,
-        fld.DEFAULT_EMBEDDING,
         CO,
         (flat % 4).astype(np.uint8).reshape(2, 3, 4),
         (flat * 7 + 1).astype(np.uint32).reshape(2, 3, 4),

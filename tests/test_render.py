@@ -22,15 +22,15 @@ HEADLIGHT = rnd.LightingParams(rnd.LightModel.SIMPLE_LAMBERTIAN, (0.0, 0.0, 1.0)
 
 @pytest.fixture
 def classify_lanes(monkeypatch):
-    """The lane count of every fld._classify_batch call, in call order."""
+    """The lane count of every fld._classify_cells call, in call order."""
     lanes = []
-    classify = fld._classify_batch
+    classify = fld._classify_cells
 
-    def counting(F, params, hr, hm, hn, hp):
+    def counting(F, cells, hr, hm, hn, hp):
         lanes.append(hr.size)
-        return classify(F, params, hr, hm, hn, hp)
+        return classify(F, cells, hr, hm, hn, hp)
 
-    monkeypatch.setattr(fld, "_classify_batch", counting)
+    monkeypatch.setattr(fld, "_classify_cells", counting)
     return lanes
 
 
