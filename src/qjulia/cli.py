@@ -126,6 +126,9 @@ def _sweep_row(fld: field.ClassificationField) -> tuple[float, float, float, flo
 
 def run_sweep(args) -> int:
     spec = parse_sweep(_read_text(args.config))
+    label = {radius: f"{radius:g}" for radius in spec.radii}
+    if len(set(label.values())) < len(label):
+        raise ConfigError("radii: distinct radii print alike at 6 significant digits")
     base = spec.base
     out = args.out or str(Path(base.output_path).with_suffix(".csv"))
     out_path = Path(out)
@@ -138,12 +141,12 @@ def run_sweep(args) -> int:
         radius, max_iter = fld.params.radius, fld.params.max_iter
         plotted, escaped, converged, mean_steps = _sweep_row(fld)
         lines.append(
-            f"{radius:g},{max_iter},{plotted:.6f},{escaped:.6f},"
+            f"{label[radius]},{max_iter},{plotted:.6f},{escaped:.6f},"
             f"{converged:.6f},{mean_steps:.6f}"
         )
         if not args.no_images:
             cell = out_path.with_name(
-                f"{out_path.stem}_r{radius:g}_it{max_iter}.ppm"
+                f"{out_path.stem}_r{label[radius]}_it{max_iter}.ppm"
             )
             _render_to(cell, F, base, fld.params, args.workers)
     text = "\n".join(lines) + "\n"

@@ -10,12 +10,13 @@ the message rather than being ignored; null is malformed for every key.
 Each shape check has one reader: _array and _tuple_of for arrays,
 _choice for a string from a fixed set, _build for a constructor's
 ValueError.  Each key is named once, in a table that the parser and
-config_data both follow: _MAP_KINDS for the map kinds, _SECTIONS for
-the nested sections and _SLICE for the slice block.  A default is
-written once, in the dataclass that declares it, and an absent key,
-inside a section too, keeps it.  The slice block defaults to the
-region's x/y window and resolution, and every command checks it against
-oracle2d's bounds before any work.
+config_data both follow: _MAP_KINDS (map kinds and their builders),
+_PARAMS (the classifier), _SECTIONS, _TOP (RenderConfig's scalars) and
+_SLICE.  A default, and any bound a dataclass checks, is written once,
+in that dataclass; an absent key, inside a section too, keeps the
+default.  The slice block defaults to the region's x/y window and
+resolution, and every command checks it against oracle2d's bounds
+before any work.
 
 A job says what to compute, not how: the worker count is the CLI's
 --workers option, and a "workers" key is an unknown key.
@@ -40,10 +41,6 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_RADIUS = {ClassifierMethod.ESCAPE_TIME: 2.0, ClassifierMethod.CUTOFF_RATE: 1e-3}
-DEFAULT_MAX_ITER = 50
-
-
 @dataclass(frozen=True)
 class MapSpec:
     """Declarative map description; build() yields the iterable map."""
@@ -56,21 +53,14 @@ class MapSpec:
     polynomial: Optional[tuple[float, ...]] = None
 
     def build(self) -> QRationalMap:
-        if self.kind == "quadratic":
-            return dynamics.quadratic_map(self.p, self.q)
-        if self.kind == "rational":
-            return dynamics.rational_map(self.numerator, self.denominator)
-        if self.kind == "newton":
-            return dynamics.newton_transform(
-                dynamics.QPolynomial.from_coeffs(self.polynomial)
-            )
-        raise ConfigError(f"map.kind: unknown kind {self.kind!r}")
+        make, keys = _MAP_KINDS[self.kind]
+        return make(*(getattr(self, k) for k in keys))
 
 
 @dataclass(frozen=True)
 class RenderConfig:
     map: MapSpec
-    params: ClassifierParams
+    params: ClassifierParams = ClassifierParams()
     region: Region3 = Region3((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), (65, 65, 65))
     embedding: Embedding = Embedding()
     camera: Camera = Camera()
@@ -134,11 +124,17 @@ def _integer(v: Any, key: str) -> int:
     return v
 
 
-def _iterations(v: Any, key: str) -> int:
+def _count(v: Any, key: str) -> int:
     n = _integer(v, key)
-    if not 1 <= n <= dynamics._MAX_ITER:
-        raise ConfigError(f"{key}: must lie in [1, {dynamics._MAX_ITER}]")
+    if n < 0:
+        raise ConfigError(f"{key}: must be non-negative")
     return n
+
+
+def _string(v: Any, key: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{key}: expected a string")
+    return v
 
 
 def _choice(v: Any, key: str, options) -> str:
@@ -210,21 +206,30 @@ def _as_is(v: Any, key: str) -> Any:
     return v
 
 
-def _radius(v: Any, key: str) -> float:
-    r = _number(v, key)
-    if r <= 0:
-        raise ConfigError(f"{key}: must be positive")
-    return r
+# a radius or an iteration count alone, as ClassifierParams bounds it
+_radius = _checked(_number, lambda r: ClassifierParams(radius=r).radius)
+_iterations = _checked(_integer, lambda n: ClassifierParams(max_iter=n).max_iter)
 
-
-# each map kind's keys, which are also MapSpec's fields, with their readers
+# each map kind's builder and its keys, which are also MapSpec's fields
+# and the builder's arguments in order, with their readers
 _MAP_KINDS = {
-    "quadratic": {"p": _quaternion, "q": _quaternion},
-    "rational": {
-        "numerator": _array_of(_quaternion),
-        "denominator": _array_of(_quaternion),
-    },
-    "newton": {"polynomial": _array_of(_number)},
+    "quadratic": (dynamics.quadratic_map, {"p": _quaternion, "q": _quaternion}),
+    "rational": (
+        dynamics.rational_map,
+        {"numerator": _array_of(_quaternion), "denominator": _array_of(_quaternion)},
+    ),
+    "newton": (
+        lambda coeffs: dynamics.newton_transform(dynamics.QPolynomial.from_coeffs(coeffs)),
+        {"polynomial": _array_of(_number)},
+    ),
+}
+
+# the classifier keys, each with the ClassifierParams field it sets
+_PARAMS = {
+    "method": ("method", _enum(ClassifierMethod)),
+    "radius": ("radius", _radius),
+    "maxIter": ("max_iter", _iterations),
+    "cutoffCount": ("cutoff_count", _integer),
 }
 
 # RenderConfig's nested sections, each under its field's name: their keys
@@ -255,6 +260,12 @@ _SECTIONS = {
         "shininess": ("shininess", _number),
     },
 }
+# RenderConfig's own scalars, at the top level
+_TOP = {
+    "kRefine": ("k_refine", _count),
+    "palette": ("palette", lambda v, key: _choice(v, key, _PALETTES)),
+    "outputPath": ("output_path", _string),
+}
 # the slice block sets RenderConfig's own fields, with oracle2d's bounds
 _SLICE = {
     "window": (
@@ -267,31 +278,32 @@ _SLICE = {
     ),
 }
 
-_TOP_KEYS = {
-    "map", "method", "radius", "maxIter", "cutoffCount", *_SECTIONS, "kRefine",
-    "palette", "outputPath", "slice",
-}
+_TOP_KEYS = {"map", *_PARAMS, *_SECTIONS, *_TOP, "slice"}
+
+
+def _read_fields(data: dict, keys: dict, ctx: str = "") -> dict:
+    """The fields that the keys present in data set; an absent key sets
+    none, so its field keeps its default."""
+    return {
+        field: read(data[key], f"{ctx}{key}")
+        for key, (field, read) in keys.items()
+        if key in data
+    }
 
 
 def _read_section(data: dict, name: str, keys: dict) -> dict:
-    """The fields that the keys present in data[name] set; an absent key
-    sets none, so its field keeps its default."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object")
     _check_keys(section, keys, f"{name}.")
-    return {
-        field: read(section[key], f"{name}.{key}")
-        for key, (field, read) in keys.items()
-        if key in section
-    }
+    return _read_fields(section, keys, f"{name}.")
 
 
 def _parse_map(data: Any) -> MapSpec:
     if not isinstance(data, dict):
         raise ConfigError("map: expected an object")
     kind = _choice(_need(data, "kind", "map."), "map.kind", _MAP_KINDS)
-    readers = _MAP_KINDS[kind]
+    _, readers = _MAP_KINDS[kind]
     _check_keys(data, {"kind", *readers}, "map.")
     fields = {k: read(_need(data, k, "map."), f"map.{k}") for k, read in readers.items()}
     spec = MapSpec(kind, **fields)
@@ -299,42 +311,22 @@ def _parse_map(data: Any) -> MapSpec:
     return spec
 
 
-def _parse_params(data: dict) -> ClassifierParams:
-    method = _enum(ClassifierMethod)(data.get("method", "cutoff"), "method")
-    radius = _radius(data.get("radius", DEFAULT_RADIUS[method]), "radius")
-    max_iter = _iterations(data.get("maxIter", DEFAULT_MAX_ITER), "maxIter")
-    cutoff_count = ClassifierParams.cutoff_count  # half of maxIter
-    if "cutoffCount" in data:
-        cutoff_count = _integer(data["cutoffCount"], "cutoffCount")
-        if not 1 <= cutoff_count <= max_iter:
-            raise ConfigError("cutoffCount: must satisfy 1 <= cutoffCount <= maxIter")
-    return ClassifierParams(method, radius, max_iter, cutoff_count)
-
-
 def parse_config_data(data: Any) -> RenderConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(data, _TOP_KEYS, "")
     map_spec = _parse_map(_need(data, "map"))
-    params = _parse_params(data)
+    # with radius and maxIter bounded as read, only cutoff_count <= max_iter is left
+    params = _build("cutoffCount", ClassifierParams, **_read_fields(data, _PARAMS))
     sections = {}
     for name, keys in _SECTIONS.items():
         fields = _read_section(data, name, keys)
         sections[name] = _build(name, replace, getattr(RenderConfig, name), **fields)
-    k_refine = _integer(data.get("kRefine", RenderConfig.k_refine), "kRefine")
-    if k_refine < 0:
-        raise ConfigError("kRefine: must be non-negative")
-    palette = _choice(data.get("palette", RenderConfig.palette), "palette", _PALETTES)
-    output_path = data.get("outputPath", RenderConfig.output_path)
-    if not isinstance(output_path, str):
-        raise ConfigError("outputPath: expected a string")
     return RenderConfig(
         map=map_spec,
         params=params,
-        k_refine=k_refine,
-        palette=palette,
-        output_path=output_path,
         **sections,
+        **_read_fields(data, _TOP),
         **_read_section(data, "slice", _SLICE),
     )
 
@@ -364,20 +356,14 @@ def _fields_json(obj, keys: dict) -> dict:
 
 def config_data(cfg: RenderConfig) -> dict:
     spec = cfg.map
-    data = {
-        "map": {"kind": spec.kind, **{k: _json(getattr(spec, k)) for k in _MAP_KINDS[spec.kind]}},
-        "method": cfg.params.method.value,
-        "radius": cfg.params.radius,
-        "maxIter": cfg.params.max_iter,
-        "cutoffCount": cfg.params.cutoff_count,
+    _, map_keys = _MAP_KINDS[spec.kind]
+    return {
+        "map": {"kind": spec.kind, **{k: _json(getattr(spec, k)) for k in map_keys}},
+        **_fields_json(cfg.params, _PARAMS),
+        **{name: _fields_json(getattr(cfg, name), keys) for name, keys in _SECTIONS.items()},
+        **_fields_json(cfg, _TOP),
+        "slice": _fields_json(cfg, _SLICE),
     }
-    for name, keys in _SECTIONS.items():
-        data[name] = _fields_json(getattr(cfg, name), keys)
-    data["kRefine"] = cfg.k_refine
-    data["palette"] = cfg.palette
-    data["outputPath"] = cfg.output_path
-    data["slice"] = _fields_json(cfg, _SLICE)
-    return data
 
 
 def serialize_config(cfg: RenderConfig) -> str:

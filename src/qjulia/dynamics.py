@@ -246,12 +246,19 @@ _MAX_ITER = 2**32 - 1
 
 @dataclass(frozen=True)
 class ClassifierParams:
-    method: ClassifierMethod
-    radius: float
-    max_iter: int
+    """Classifier settings with a job's defaults.  An absent radius is the
+    method's (2.0 escape time, 1e-3 cut-off rate); an absent cutoff_count
+    is half of max_iter, at least 1."""
+
+    method: ClassifierMethod = ClassifierMethod.CUTOFF_RATE
+    radius: Optional[float] = None
+    max_iter: int = 50
     cutoff_count: Optional[int] = None
 
     def __post_init__(self):
+        if self.radius is None:
+            escape = self.method is ClassifierMethod.ESCAPE_TIME
+            object.__setattr__(self, "radius", 2.0 if escape else 1e-3)
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if not 1 <= self.max_iter <= _MAX_ITER:

@@ -50,6 +50,7 @@ from qjulia.dynamics import (
 
 _CHUNK = 4096
 _MAGIC = b"QJF1"
+_RECORD = np.dtype([("tag", "u1"), ("steps", "<u4")])
 
 _COMPONENTS = ("r", "m", "n", "p")
 
@@ -533,7 +534,7 @@ def save_csv(field: ClassificationField, path) -> None:
 def save_raw(field: ClassificationField, path) -> None:
     """Binary dump: magic, u32le resolution, then (u8 tag, u32le steps) records."""
     nx, ny, nz = field.region.resolution
-    rec = np.empty(field.region.voxel_count, dtype=np.dtype([("tag", "u1"), ("steps", "<u4")]))
+    rec = np.empty(field.region.voxel_count, dtype=_RECORD)
     rec["tag"] = field.tags.ravel()
     rec["steps"] = field.steps.ravel()
     with open(path, "wb") as fh:
@@ -549,11 +550,15 @@ def load_raw(path) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
         if len(head) != 16 or head[:4] != _MAGIC:
             raise ValueError("not a QJF1 field file")
         nx, ny, nz = struct.unpack("<3I", head[4:])
-        rec = np.frombuffer(
-            fh.read(), dtype=np.dtype([("tag", "u1"), ("steps", "<u4")])
-        )
-    if rec.size != nx * ny * nz:
-        raise ValueError("field file truncated")
+        payload = fh.read()
+    size = nx * ny * nz * _RECORD.itemsize
+    if len(payload) < size:
+        raise ValueError(f"field file short: {len(payload)} of {size} record bytes")
+    if len(payload) > size:
+        raise ValueError(f"field file has {len(payload) - size} trailing bytes")
+    rec = np.frombuffer(payload, dtype=_RECORD)
     tags = rec["tag"].reshape(nz, ny, nx).copy()
+    if tags.max(initial=0) > max(OutcomeKind):
+        raise ValueError(f"field file has an unknown outcome tag {tags.max()}")
     steps = rec["steps"].reshape(nz, ny, nx).copy()
     return tags, steps, (nx, ny, nz)

@@ -238,8 +238,6 @@ def shade(normal: tuple[float, float, float], lighting: LightingParams) -> float
         return min(1.0, diff)
     value = lighting.ambient + lighting.diffuse * diff
     if lighting.model is LightModel.PHONG:
-        rx = 2.0 * nl * nx - lx
-        ry = 2.0 * nl * ny - ly
         rz = 2.0 * nl * nz - lz
         # V = (0,0,1): the camera looks down +z of its own frame
         value += lighting.specular * max(0.0, rz) ** lighting.shininess

@@ -292,6 +292,26 @@ def test_sweep_csv_and_images(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_sweep_refuses_radii_that_print_alike(tmp_path, capsys):
+    # both print as 0.123457, so they would share a CSV label and an image
+    base = json.loads(Path(tiny_newton(tmp_path)).read_text())
+    base["outputPath"] = str(tmp_path / "t.csv")
+    spec = {"radii": [0.1234567, 0.1234568], "iterationCounts": [5], "base": base}
+    cfg = write_cfg(tmp_path, "sweep.json", spec)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["sweep", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: radii: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    # a repeated radius prints alike too, but its rows are the same cell's
+    spec["radii"] = [0.1234567, 0.1234567]
+    write_cfg(tmp_path, "sweep.json", spec)
+    assert main(["sweep", cfg, "--no-images"]) == 0
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows[0] == rows[1] and rows[0].startswith("0.123457,5,")
+
+
 def test_sweep_no_images(tmp_path):
     base = {
         "map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]},

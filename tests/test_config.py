@@ -14,7 +14,7 @@ from qjulia.config import (
     parse_sweep,
     serialize_config,
 )
-from qjulia.dynamics import ClassifierMethod
+from qjulia.dynamics import ClassifierMethod, ClassifierParams
 from qjulia.quat import Quaternion
 
 MINIMAL = '{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}, "method": "cutoff"}'
@@ -58,6 +58,11 @@ def test_minimal_config_defaults():
     assert math.isclose(
         sum(c * c for c in cfg.lighting.light_dir), 1.0, rel_tol=1e-12
     )
+
+
+def test_map_only_job_takes_the_classifier_defaults():
+    cfg = parse_config('{"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}')
+    assert cfg.params == ClassifierParams()
 
 
 def test_escape_default_radius():

@@ -97,6 +97,12 @@ def test_newton_transform_guards():
         dyn.newton_transform(dyn.QPolynomial.from_coeffs([1.0, 1.0]))
 
 
+def test_params_defaults_are_the_jobs():
+    cutoff = dyn.ClassifierMethod.CUTOFF_RATE
+    assert dyn.ClassifierParams() == dyn.ClassifierParams(cutoff, 1e-3, 50, 25)
+    assert dyn.ClassifierParams(dyn.ClassifierMethod.ESCAPE_TIME).radius == 2.0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         dyn.ClassifierParams(dyn.ClassifierMethod.ESCAPE_TIME, -1.0, 10)

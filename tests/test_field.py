@@ -1,6 +1,7 @@
 import os
 import random
 import signal
+import struct
 import time
 
 import numpy as np
@@ -435,4 +436,16 @@ def test_load_raw_rejects_garbage(tmp_path):
         fld.load_raw(path)
     path.write_bytes(b"QJF1" + b"\x02\x00\x00\x00" * 3 + b"\x00" * 7)
     with pytest.raises(ValueError):
+        fld.load_raw(path)
+    # a 1x1x2 field holds two 5-byte (tag, steps) records
+    head = b"QJF1" + struct.pack("<3I", 1, 1, 2)
+    record = b"\x01" + struct.pack("<I", 3)
+    path.write_bytes(head + record + record[:2])
+    with pytest.raises(ValueError, match="short"):
+        fld.load_raw(path)
+    path.write_bytes(head + record * 3)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        fld.load_raw(path)
+    path.write_bytes(head + record + b"\x07" + record[1:])
+    with pytest.raises(ValueError, match="unknown outcome tag 7"):
         fld.load_raw(path)
