@@ -214,7 +214,7 @@ def main(argv=None) -> int:
         args.workers = min(args.workers, _usable_cpus())
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         message = str(exc)
     except MemoryError:
         message = "out of memory"

@@ -15,11 +15,14 @@ _PARAMS (the classifier), _SECTIONS, _TOP (RenderConfig's scalars) and
 _SLICE.  A default, and any bound a dataclass checks, is written once,
 in that dataclass; an absent key, inside a section too, keeps the
 default.  The slice block defaults to the region's x/y window and
-resolution, and every command checks it against oracle2d's bounds
-before any work.
+resolution, and every command checks it against oracle2d's bounds,
+and the grid it makes against Region3's, before any work.
 
 A job says what to compute, not how: the worker count is the CLI's
 --workers option, and a "workers" key is an unknown key.
+
+serialize_config, which no command calls, is the writing half of the
+job format's round-trip.
 """
 
 from __future__ import annotations
@@ -322,13 +325,18 @@ def parse_config_data(data: Any) -> RenderConfig:
     for name, keys in _SECTIONS.items():
         fields = _read_section(data, name, keys)
         sections[name] = _build(name, replace, getattr(RenderConfig, name), **fields)
-    return RenderConfig(
+    cfg = RenderConfig(
         map=map_spec,
         params=params,
         **sections,
         **_read_fields(data, _TOP),
         **_read_section(data, "slice", _SLICE),
     )
+    # render_slice2d samples its window on Region3's grid, so Region3's
+    # rule checks the grid that the slice keys make together
+    xmin, xmax, ymin, ymax = cfg.slice_window
+    _build("slice", Region3, (xmin, ymin, 0.0), (xmax, ymax, 1.0), (*cfg.slice_resolution, 2))
+    return cfg
 
 
 def _load_json(text: str) -> Any:

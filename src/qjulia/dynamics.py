@@ -22,6 +22,10 @@ Only the orbit loops are twinned: ``classify`` runs on bare floats
 run on their ClassifierParams cells.  Keep the two loops' decisions in
 sync; the renderer relies on the scalar and batch paths agreeing bit
 for bit.
+
+``eval_poly`` and ``eval_map`` stay public though the package runs only
+the float forms: they are the Quaternion edge of the one Horner and
+division, where tests check that arithmetic against ``quat``'s algebra.
 """
 
 from __future__ import annotations
@@ -89,10 +93,6 @@ class QRationalMap:
     @property
     def is_real(self) -> bool:
         return self.numerator.is_real and self.denominator.is_real
-
-
-def polynomial_map(coeffs: Sequence[RealOrQuat]) -> QRationalMap:
-    return QRationalMap(QPolynomial.from_coeffs(coeffs))
 
 
 def quadratic_map(p: RealOrQuat, q: RealOrQuat) -> QRationalMap:
@@ -344,21 +344,3 @@ def is_plotted(outcome: OrbitOutcome, params: ClassifierParams) -> bool:
     """Whether a classified seed belongs to the rendered set (plotted_bits)."""
     return bool(plotted_bits(outcome.kind, outcome.steps, params))
 
-
-def orbit_points(F: QRationalMap, seed: Quaternion, steps: int) -> list[Quaternion]:
-    """Seed followed by up to `steps` iterates.
-
-    Stops early after a pole hit, or right after the first non-finite
-    iterate (which is included).  Mainly a debugging and test aid.
-    """
-    pts = [seed]
-    p = seed
-    for _ in range(steps):
-        try:
-            p = eval_map(F, p)
-        except PoleError:
-            break
-        pts.append(p)
-        if not quat.is_finite(p):
-            break
-    return pts

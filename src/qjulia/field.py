@@ -23,14 +23,19 @@ are forked processes (``run_forked``): each writes its own chunks of
 output arrays that live in shared anonymous memory, so no locking is
 needed and no result is copied back.  ``cast_rays``' march and refine
 still run their chunks on threads (``run_chunks``).
+
+``load_raw``, which nothing in the package calls, is the reader of the
+QJF1 format that ``save_raw`` (``render --dump-field``) writes.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import pickle
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,12 +71,17 @@ class Region3:
     resolution: tuple[int, int, int]
 
     def __post_init__(self):
-        for lo, hi in zip(self.min, self.max):
+        for axis, (lo, hi, r) in enumerate(zip(self.min, self.max, self.resolution)):
             if not lo < hi:
                 raise ValueError("region min must be strictly below max")
-        for r in self.resolution:
             if r < 2:
                 raise ValueError("resolution components must be >= 2")
+            if r - 1 > sys.float_info.max:
+                raise ValueError("resolution components must fit a float")
+            # an extent can overflow, a step underflow, and a finite step
+            # round the far corner beyond the float range
+            if not (self.step(axis) > 0.0 and math.isfinite(self.coord(axis, r - 1))):
+                raise ValueError("grid step must be positive and every coordinate finite")
 
     def step(self, axis: int) -> float:
         return (self.max[axis] - self.min[axis]) / (self.resolution[axis] - 1)

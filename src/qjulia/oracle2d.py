@@ -20,11 +20,16 @@ plotted rule).  Only the orbit loop is twinned: ``classify2d`` is the
 scalar reference, and ``_classify2d_batch`` is its batch mirror, which
 ``render_slice2d`` runs over the window in ``_CHUNK``-lane chunks.  Keep
 the two loops' decisions in sync; they must agree bit for bit.
+
+The public names are what the CLI and the acceptance gate run; a test
+of one map step or one plotted bit calls ``_eval_cmap`` or
+``_plotted2d_bits``, the helpers both loops run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -45,9 +50,6 @@ class Complex(NamedTuple):
     im: float
 
 
-C_ZERO = Complex(0.0, 0.0)
-C_ONE = Complex(1.0, 0.0)
-
 ComplexLike = Union[float, int, complex, Complex]
 
 
@@ -57,16 +59,6 @@ def as_complex(v: ComplexLike) -> Complex:
     if isinstance(v, complex):
         return Complex(v.real, v.imag)
     return Complex(float(v), 0.0)
-
-
-def c_dist(a: Complex, b: Complex) -> float:
-    dr = a.re - b.re
-    di = a.im - b.im
-    return math.sqrt(dr * dr + di * di)
-
-
-def c_finite(a: Complex) -> bool:
-    return math.isfinite(a.re) and math.isfinite(a.im)
 
 
 class CMap(NamedTuple):
@@ -106,10 +98,6 @@ def _cdivide(nr, ni, dr, di, ns):
     ir = dr / ns
     ii = -di / ns
     return nr * ir - ni * ii, nr * ii + ni * ir
-
-
-def eval_cmap(F: CMap, z: Complex) -> Complex:
-    return Complex(*_eval_cmap(F, *z))
 
 
 class Outcome2d(NamedTuple):
@@ -219,23 +207,24 @@ def _plotted2d_bits(kind, steps, params: ClassifierParams):
     )
 
 
-def is_plotted2d(outcome: Outcome2d, params: ClassifierParams) -> bool:
-    return bool(_plotted2d_bits(outcome.kind, outcome.steps, params))
-
-
 # render_slice2d's bounds; config checks a job's slice block with them too
 def checked_window(window: tuple[float, float, float, float]):
-    """window, if it has positive extent on both axes."""
+    """window, if it has positive, finite extent on both axes."""
     xmin, xmax, ymin, ymax = window
     if not (xmin < xmax and ymin < ymax):
         raise ValueError("window must have positive extent")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise ValueError("window extent must be finite")
     return window
 
 
 def checked_resolution(resolution: tuple[int, int]):
-    """resolution, if it samples each axis at both ends."""
+    """resolution, if it samples each axis at both ends and a float holds
+    each axis's interval count."""
     if min(resolution) < 2:
         raise ValueError("resolution components must be >= 2")
+    if max(resolution) - 1 > sys.float_info.max:
+        raise ValueError("resolution components must fit a float")
     return resolution
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 
 import pytest
 
@@ -17,8 +18,9 @@ from qjulia.quat import Quaternion
 
 # (job entries over a valid Newton job, the key its one error line names):
 # values of a type no reader expects, some unhashable, a maxIter beyond
-# the uint32 step counts, slice blocks outside the slice's bounds, and
-# nulls, which no key takes
+# the uint32 step counts, slice blocks outside the slice's bounds, nulls,
+# which no key takes, and grids whose extent overflows or whose
+# resolution no float holds
 MALFORMED_JOBS = [
     ({"camera": {"viewAxis": ["+z"]}}, "camera"),
     ({"camera": {"viewAxis": {"a": 1}}}, "camera"),
@@ -31,6 +33,13 @@ MALFORMED_JOBS = [
     ({"slice": {"window": [1, -1, 0, 1]}}, "slice.window"),
     ({"lighting": {"lightDir": None}}, "lighting.lightDir"),
     ({"cutoffCount": None}, "cutoffCount"),
+    ({"region": {"min": [-1e308] * 3, "max": [1e308] * 3}}, "region"),
+    ({"region": {"resolution": [10**400, 3, 3]}}, "region"),
+    ({"slice": {"window": [-1e308, 1e308, -1, 1]}}, "slice.window"),
+    ({"slice": {"resolution": [10**400, 5]}}, "slice.resolution"),
+    # finite steps whose far corner rounds beyond the float range
+    ({"region": {"min": [0, 0, 0], "max": [sys.float_info.max] * 3, "resolution": [4] * 3}}, "region"),
+    ({"slice": {"window": [0, sys.float_info.max, -1, 1], "resolution": [4, 5]}}, "slice"),
 ]
 
 

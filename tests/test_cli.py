@@ -66,6 +66,18 @@ def test_render_field_dump_csv(tmp_path):
     assert len(lines) == 1 + 9 * 9 * 9
 
 
+def test_failed_field_dump_is_one_error_line_and_keeps_the_image(tmp_path, capsys):
+    # the steps are finite, but no mmap holds 2^64 tags: an OverflowError;
+    # the image, written before the scan starts, is complete and stays
+    region = {"min": [-2, -2, -2], "max": [2, 2, 2], "resolution": [2**62, 2, 2]}
+    cfg = tiny_newton(tmp_path, region=region)
+    assert main(["render", cfg, "--dump-field", str(tmp_path / "field.qjf")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "out.ppm"]
+    assert len((tmp_path / "out.ppm").read_bytes()) == len(b"P6\n24 24\n255\n") + 24 * 24 * 3
+
+
 def test_render_deterministic_across_workers(tmp_path):
     cfg = tiny_newton(tmp_path)
     a = tmp_path / "a.ppm"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from conftest import MALFORMED_JOBS
+from hypothesis import example, given, settings, strategies as st
 
 from qjulia.config import (
     ConfigError,
@@ -103,6 +104,61 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_round_trip(text):
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# every bundled render job and the sweep's base, as written and in full
+# (serialized, so that every key, the slice block's too, has a leaf)
+_WRITTEN = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+_WRITTEN = [job.get("base", job) for job in _WRITTEN]
+FUZZ_JOBS = _WRITTEN + [json.loads(serialize_config(parse_config(json.dumps(j)))) for j in _WRITTEN]
+FUZZ_VALUES = [10**400, -(10**400), 2**62, 1e308, -1e308, 0, -1, "x", [0], {}, None]
+
+
+def _leaves(data, path=()):
+    """The path of every number, string and null in a JSON value."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(data, list):
+        for index, value in enumerate(data):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def _replaced(job: dict, path: tuple, value) -> dict:
+    job = json.loads(json.dumps(job))
+    *parents, last = path
+    node = job
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return job
+
+
+_SITES = [(job, path) for job in FUZZ_JOBS for path in _leaves(job)]
+_NEWTON = json.loads((CONFIGS / "newton_cubic_cutoff.json").read_text())
+
+
+@given(st.builds(lambda site, value: _replaced(*site, value), st.sampled_from(_SITES),
+                 st.sampled_from(FUZZ_VALUES)))
+@example({**_NEWTON, "region": {"min": [-1e308] * 3, "max": [1e308] * 3}})
+@example({**_NEWTON, "region": {"resolution": [10**400, 3, 3]}})
+@example({**_NEWTON, "slice": {"window": [-1e308, 1e308, -1, 1]}})
+@example({**_NEWTON, "slice": {"resolution": [10**400, 5]}})
+@example({**_NEWTON, "region": {"resolution": [2**62, 2, 2]}})
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_mutated_job_is_refused_or_round_trips_with_finite_grids(job):
+    try:
+        cfg = parse_config(json.dumps(job))
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+    xmin, xmax, ymin, ymax = cfg.slice_window
+    nx, ny = cfg.slice_resolution
+    steps = [cfg.region.step(axis) for axis in range(3)]
+    steps += [(xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)]
+    assert all(0.0 < step < math.inf for step in steps)
 
 
 def test_absent_section_key_keeps_its_default():

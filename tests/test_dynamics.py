@@ -240,17 +240,6 @@ def test_newton_escape_degenerate_on_coarse_grid():
     assert counts[dyn.OutcomeKind.INDETERMINATE] == res**3 - 1
 
 
-def test_orbit_points():
-    pts = dyn.orbit_points(NEWTON, Quaternion(2, 0, 0, 0), 5)
-    assert len(pts) == 6
-    assert pts[0] == Quaternion(2, 0, 0, 0)
-    assert abs(pts[1].r - 17.0 / 12.0) < 1e-12
-    assert dyn.orbit_points(NEWTON, quat.ZERO, 5) == [quat.ZERO]
-    blown = dyn.orbit_points(SQUARE, Quaternion(10, 0, 0, 0), 500)
-    assert not quat.is_finite(blown[-1])
-    assert all(quat.is_finite(p) for p in blown[:-1])
-
-
 def _reference_horner(f, h):
     """Horner with every product and add in full, zero parts included."""
     acc = f.coeffs[-1]

@@ -2,6 +2,7 @@ import os
 import random
 import signal
 import struct
+import sys
 import time
 
 import numpy as np
@@ -27,6 +28,11 @@ def test_region_validation():
         fld.Region3((0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (4, 4, 4))
     with pytest.raises(ValueError):
         fld.Region3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1, 4, 4))
+    # no float step: the extent overflows, the resolution has no float, or
+    # the far corner rounds beyond the float range
+    for lo, hi, res in [(-1e308, 1e308, 3), (-2.0, 2.0, 10**400), (0.0, sys.float_info.max, 4)]:
+        with pytest.raises(ValueError):
+            fld.Region3((lo, 0.0, 0.0), (hi, 1.0, 1.0), (res, 4, 4))
     r = fld.Region3((-1.0, 0.0, 0.0), (1.0, 1.0, 2.0), (5, 3, 2))
     assert r.step(0) == 0.5
     assert r.coord(0, 4) == 1.0
@@ -85,8 +91,10 @@ def _final_norm_escapes(params):
         for x, y, z in zip(ix, iy, iz)
     ]
     assert seeds
-    for s in seeds:
-        last = dyn.orbit_points(NEWTON, s, params.max_iter)[-1]
+    for last in seeds:
+        # these orbits meet no pole, so every step is one eval_map
+        for _ in range(params.max_iter):
+            last = dyn.eval_map(NEWTON, last)
         assert quat.is_finite(last) and quat.norm(last) > params.radius
     return seeds
 

@@ -108,7 +108,7 @@ def test_normal_sloped_plane():
 
 
 def test_all_miss_scene_black():
-    shift = dyn.polynomial_map([1.0, 1.0])
+    shift = dyn.QRationalMap(dyn.QPolynomial.from_coeffs([1.0, 1.0]))
     params = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 0.5, 24)
     cam = rnd.Camera("+z", (16, 16))
     dm = rnd.cast_rays(shift, BOX33, EMB, params, cam)
@@ -120,7 +120,7 @@ def test_all_miss_scene_black():
 
 @pytest.mark.parametrize("view_axis", ["+z", "-x"])
 def test_fully_plotted_scene_hits_front_face(view_axis, classify_lanes):
-    ident = dyn.polynomial_map([0.0, 1.0])
+    ident = dyn.QRationalMap(dyn.QPolynomial.from_coeffs([0.0, 1.0]))
     params = ClassifierParams(ClassifierMethod.CUTOFF_RATE, 1e-3, 10, 1)
     cam = rnd.Camera(view_axis, (8, 8))
     dm = rnd.cast_rays(ident, BOX33, EMB, params, cam)
