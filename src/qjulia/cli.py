@@ -19,13 +19,8 @@ from pathlib import Path
 from typing import Callable
 
 from qjulia import field, oracle2d, render
-from qjulia.config import ConfigError, RenderConfig, parse_config, parse_sweep
+from qjulia.config import ConfigError, RenderConfig, output_path, parse_config, parse_sweep
 from qjulia.dynamics import ClassifierParams, OutcomeKind, QRationalMap
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 class _Staged(os.PathLike):
@@ -64,11 +59,6 @@ def _write_output(path, write: Callable[[os.PathLike], None]) -> None:
     print(f"wrote {path}")
 
 
-def _dump_field(fld: field.ClassificationField, path: str) -> None:
-    save = field.save_csv if path.endswith(".csv") else field.save_raw
-    _write_output(path, lambda tmp: save(fld, tmp))
-
-
 def _render_to(
     path, F: QRationalMap, cfg: RenderConfig, params: ClassifierParams, workers: int
 ) -> None:
@@ -86,28 +76,35 @@ def _render_to(
     _write_output(path, lambda tmp: render.write_ppm(tmp, image))
 
 
+def _read_job(args) -> str:
+    """The job file's text, once --out and --dump-field, where given, have
+    passed outputPath's rule, so a path that names no file costs no work."""
+    for dest in ("out", "dump_field"):
+        if (path := getattr(args, dest, None)) is not None:
+            output_path(path, "--" + dest.replace("_", "-"))
+    return Path(args.config).read_text(encoding="utf-8")
+
+
 def run_render(args) -> int:
-    cfg = parse_config(_read_text(args.config))
+    cfg = parse_config(_read_job(args))
     out = args.out or cfg.output_path
     F = cfg.map.build()
     _render_to(out, F, cfg, cfg.params, args.workers)
     if args.dump_field:
         fld = field.scan(F, cfg.region, cfg.embedding, cfg.params, workers=args.workers)
-        _dump_field(fld, args.dump_field)
+        save = field.save_csv if args.dump_field.endswith(".csv") else field.save_raw
+        _write_output(args.dump_field, lambda tmp: save(fld, tmp))
     return 0
 
 
 def _complex_section(F: QRationalMap) -> oracle2d.CMap:
     if not F.is_real:
         raise ConfigError("map: slice requires real coefficients")
-    return oracle2d.cmap(
-        tuple(c.r for c in F.numerator.coeffs),
-        tuple(c.r for c in F.denominator.coeffs),
-    )
+    return oracle2d.cmap(*([c.r for c in p.coeffs] for p in (F.numerator, F.denominator)))
 
 
 def run_slice(args) -> int:
-    cfg = parse_config(_read_text(args.config))
+    cfg = parse_config(_read_job(args))
     out = args.out or str(Path(cfg.output_path).with_suffix(".pgm"))
     F = _complex_section(cfg.map.build())
     bits = oracle2d.render_slice2d(F, cfg.slice_window, cfg.slice_resolution, cfg.params)
@@ -115,17 +112,8 @@ def run_slice(args) -> int:
     return 0
 
 
-def _sweep_row(fld: field.ClassificationField) -> tuple[float, float, float, float]:
-    return (
-        fld.fraction_plotted(),
-        fld.fraction(OutcomeKind.ESCAPED),
-        fld.fraction(OutcomeKind.CONVERGED),
-        fld.mean_steps(),
-    )
-
-
 def run_sweep(args) -> int:
-    spec = parse_sweep(_read_text(args.config))
+    spec = parse_sweep(_read_job(args))
     label = {radius: f"{radius:g}" for radius in spec.radii}
     if len(set(label.values())) < len(label):
         raise ConfigError("radii: distinct radii print alike at 6 significant digits")
@@ -139,10 +127,10 @@ def run_sweep(args) -> int:
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
     for fld in stack.fields:
         radius, max_iter = fld.params.radius, fld.params.max_iter
-        plotted, escaped, converged, mean_steps = _sweep_row(fld)
         lines.append(
-            f"{label[radius]},{max_iter},{plotted:.6f},{escaped:.6f},"
-            f"{converged:.6f},{mean_steps:.6f}"
+            f"{label[radius]},{max_iter},{fld.fraction_plotted():.6f},"
+            f"{fld.fraction(OutcomeKind.ESCAPED):.6f},"
+            f"{fld.fraction(OutcomeKind.CONVERGED):.6f},{fld.mean_steps():.6f}"
         )
         if not args.no_images:
             cell = out_path.with_name(

@@ -15,8 +15,9 @@ _PARAMS (the classifier), _SECTIONS, _TOP (RenderConfig's scalars) and
 _SLICE.  A default, and any bound a dataclass checks, is written once,
 in that dataclass; an absent key, inside a section too, keeps the
 default.  The slice block defaults to the region's x/y window and
-resolution, and every command checks it against oracle2d's bounds,
-and the grid it makes against Region3's, before any work.
+resolution, and every command checks it, and the grid it makes, with
+oracle2d's rules before any work.  output_path, the outputPath reader,
+also checks the CLI's --out and --dump-field.
 
 A job says what to compute, not how: the worker count is the CLI's
 --workers option, and a "workers" key is an unknown key.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -134,9 +136,11 @@ def _count(v: Any, key: str) -> int:
     return n
 
 
-def _string(v: Any, key: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"{key}: expected a string")
+def output_path(v: Any, key: str) -> str:
+    """v, if it is a string whose last path component names a file: not
+    empty, "." or ".."."""
+    if not isinstance(v, str) or os.path.basename(v) in ("", ".", ".."):
+        raise ConfigError(f"{key}: expected a path ending in a file name")
     return v
 
 
@@ -267,7 +271,7 @@ _SECTIONS = {
 _TOP = {
     "kRefine": ("k_refine", _count),
     "palette": ("palette", lambda v, key: _choice(v, key, _PALETTES)),
-    "outputPath": ("output_path", _string),
+    "outputPath": ("output_path", output_path),
 }
 # the slice block sets RenderConfig's own fields, with oracle2d's bounds
 _SLICE = {
@@ -332,10 +336,8 @@ def parse_config_data(data: Any) -> RenderConfig:
         **_read_fields(data, _TOP),
         **_read_section(data, "slice", _SLICE),
     )
-    # render_slice2d samples its window on Region3's grid, so Region3's
-    # rule checks the grid that the slice keys make together
-    xmin, xmax, ymin, ymax = cfg.slice_window
-    _build("slice", Region3, (xmin, ymin, 0.0), (xmax, ymax, 1.0), (*cfg.slice_resolution, 2))
+    # render_slice2d's rule checks the grid that the slice keys make together
+    _build("slice", oracle2d.grid_steps, cfg.slice_window, cfg.slice_resolution)
     return cfg
 
 

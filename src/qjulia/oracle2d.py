@@ -21,6 +21,13 @@ scalar reference, and ``_classify2d_batch`` is its batch mirror, which
 ``render_slice2d`` runs over the window in ``_CHUNK``-lane chunks.  Keep
 the two loops' decisions in sync; they must agree bit for bit.
 
+The slice grid's rule is this module's own, on its own floats:
+``grid_steps`` refuses a window and resolution whose step
+``(max - min)/(n - 1)`` is not positive or whose far corner
+``min + (n - 1)*step`` is not finite, and ``render_slice2d`` calls it
+before it classifies any seed.  ``cmap`` takes real coefficients, the
+only maps with a complex slice.
+
 The public names are what the CLI and the acceptance gate run; a test
 of one map step or one plotted bit calls ``_eval_cmap`` or
 ``_plotted2d_bits``, the helpers both loops run.
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,17 +57,6 @@ class Complex(NamedTuple):
     im: float
 
 
-ComplexLike = Union[float, int, complex, Complex]
-
-
-def as_complex(v: ComplexLike) -> Complex:
-    if isinstance(v, Complex):
-        return v
-    if isinstance(v, complex):
-        return Complex(v.real, v.imag)
-    return Complex(float(v), 0.0)
-
-
 class CMap(NamedTuple):
     """Rational map as ascending-degree coefficient tuples."""
 
@@ -68,10 +64,9 @@ class CMap(NamedTuple):
     denominator: tuple[Complex, ...]
 
 
-def cmap(num: Sequence[ComplexLike], den: Sequence[ComplexLike] = (1.0,)) -> CMap:
-    return CMap(
-        tuple(as_complex(c) for c in num), tuple(as_complex(c) for c in den)
-    )
+def cmap(num: Sequence[float], den: Sequence[float] = (1.0,)) -> CMap:
+    """The map with these real ascending-degree coefficients."""
+    return CMap(*(tuple(Complex(float(c), 0.0) for c in cs) for cs in (num, den)))
 
 
 def _eval_cpoly(coeffs: tuple[Complex, ...], x, y):
@@ -207,7 +202,7 @@ def _plotted2d_bits(kind, steps, params: ClassifierParams):
     )
 
 
-# render_slice2d's bounds; config checks a job's slice block with them too
+# render_slice2d's bounds and grid rule; config checks job slice blocks with them
 def checked_window(window: tuple[float, float, float, float]):
     """window, if it has positive, finite extent on both axes."""
     xmin, xmax, ymin, ymax = window
@@ -228,6 +223,20 @@ def checked_resolution(resolution: tuple[int, int]):
     return resolution
 
 
+def grid_steps(window, resolution) -> tuple[float, float]:
+    """(dx, dy) of render_slice2d's grid, if window and resolution pass
+    their checks and each axis's step is positive and far corner finite:
+    an extent can overflow, a step underflow, and a finite step round the
+    far corner beyond the float range."""
+    xmin, xmax, ymin, ymax = checked_window(window)
+    nx, ny = checked_resolution(resolution)
+    dx, dy = (xmax - xmin) / (nx - 1), (ymax - ymin) / (ny - 1)
+    for lo, n, step in ((xmin, nx, dx), (ymin, ny, dy)):
+        if not (step > 0.0 and math.isfinite(lo + (n - 1) * step)):
+            raise ValueError("grid step must be positive and every coordinate finite")
+    return dx, dy
+
+
 def render_slice2d(
     F: CMap,
     window: tuple[float, float, float, float],
@@ -238,12 +247,12 @@ def render_slice2d(
 
     Samples window corners at min + i*delta, the same grid convention the
     volume scanner uses, so a 2-D slice and the matching 3-D mid-plane
-    sample identical complex numbers.
+    sample identical complex numbers.  A grid that grid_steps refuses
+    raises ValueError before any seed is classified.
     """
-    xmin, xmax, ymin, ymax = checked_window(window)
-    nx, ny = checked_resolution(resolution)
-    dx = (xmax - xmin) / (nx - 1)
-    dy = (ymax - ymin) / (ny - 1)
+    dx, dy = grid_steps(window, resolution)
+    xmin, _, ymin, _ = window
+    nx, ny = resolution
     total = nx * ny
     bits = np.empty(total, dtype=bool)
     # chunks split the flat index ix + nx*iy; each lane's result depends

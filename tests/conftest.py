@@ -19,8 +19,8 @@ from qjulia.quat import Quaternion
 # (job entries over a valid Newton job, the key its one error line names):
 # values of a type no reader expects, some unhashable, a maxIter beyond
 # the uint32 step counts, slice blocks outside the slice's bounds, nulls,
-# which no key takes, and grids whose extent overflows or whose
-# resolution no float holds
+# which no key takes, grids whose extent overflows or whose resolution
+# no float holds, and output paths that name no file
 MALFORMED_JOBS = [
     ({"camera": {"viewAxis": ["+z"]}}, "camera"),
     ({"camera": {"viewAxis": {"a": 1}}}, "camera"),
@@ -40,6 +40,9 @@ MALFORMED_JOBS = [
     # finite steps whose far corner rounds beyond the float range
     ({"region": {"min": [0, 0, 0], "max": [sys.float_info.max] * 3, "resolution": [4] * 3}}, "region"),
     ({"slice": {"window": [0, sys.float_info.max, -1, 1], "resolution": [4, 5]}}, "slice"),
+    ({"outputPath": ""}, "outputPath"),
+    ({"outputPath": "."}, "outputPath"),
+    ({"outputPath": "sub/"}, "outputPath"),
 ]
 
 

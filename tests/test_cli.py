@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import MALFORMED_JOBS
 
-from qjulia import field, render
+from qjulia import field, oracle2d, render
 from qjulia.cli import main
 from qjulia.config import parse_sweep
 from qjulia.dynamics import OutcomeKind
@@ -168,6 +168,28 @@ def test_malformed_job_is_one_error_line_naming_its_key(tmp_path, capsys, comman
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and key in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("path", ["", ".", "..", "{tmp}/.", "{tmp}/sub/"])
+@pytest.mark.parametrize("command, option", [
+    ("render", "--out"), ("render", "--dump-field"), ("slice", "--out"), ("sweep", "--out"),
+])
+def test_output_option_that_names_no_file_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, option, path
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(render, "render_image"), (field, "scan"), (oracle2d, "render_slice2d")]:
+        monkeypatch.setattr(module, name, work)
+    cfg = tiny_newton(tmp_path)
+    if command == "sweep":
+        base = json.loads((tmp_path / "job.json").read_text())
+        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, cfg, option, path.format(tmp=tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {option}: expected a path ending in a file name\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_slice_refuses_non_real_map_naming_map(tmp_path, capsys):

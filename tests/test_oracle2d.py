@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,22 @@ def test_window_validation():
         orc.render_slice2d(SQUARE_C, (-2.0, 2.0, -2.0, 2.0), (1, 17), ET2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("window, resolution", [
+    # a finite x step whose far corner rounds beyond the float range
+    ((0.0, sys.float_info.max, -1.0, 1.0), (4, 5)),
+    # an x step that underflows to 0.0, so every column would sample x = 0
+    ((0.0, 1e-320, -1.0, 1.0), (5000, 2)),
+])
+def test_render_slice2d_refuses_a_grid_it_cannot_sample(window, resolution, monkeypatch):
+    def classify(*args):
+        raise AssertionError("a seed was classified")
+
+    monkeypatch.setattr(orc, "_classify2d_batch", classify)
+    with pytest.raises(ValueError, match="grid step"):
+        orc.render_slice2d(NEWTON_C, window, resolution, CO)
+
+
 def test_write_pgm(tmp_path):
     bits = np.zeros((2, 3), dtype=bool)
     bits[0, 0] = True  # ymin row, so it lands on the bottom image row
@@ -209,7 +226,9 @@ def test_write_pgm(tmp_path):
 
 def test_oracle_shares_no_quaternion_code():
     # the cross-check is only independent if its arithmetic is its own:
-    # no qjulia.quat, and from qjulia.dynamics only the record types
+    # nothing from qjulia.quat, qjulia.field (Region3's grid rule included)
+    # or qjulia.render, only the record types from qjulia.dynamics, and no
+    # import behind __import__ or importlib
     allowed = {
         ("qjulia.dynamics", "ClassifierMethod"),
         ("qjulia.dynamics", "ClassifierParams"),
@@ -227,4 +246,6 @@ def test_oracle_shares_no_quaternion_code():
                 module = "qjulia." + module if module else "qjulia"
             if module.split(".")[0] == "qjulia":
                 imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Name):
+            assert node.id not in {"__import__", "importlib"}, node.id
     assert imported and imported <= allowed, imported - allowed
