@@ -63,31 +63,40 @@ def _render_to(
     path, F: QRationalMap, cfg: RenderConfig, params: ClassifierParams, workers: int
 ) -> None:
     image = render.render_image(
-        F,
-        cfg.region,
-        cfg.embedding,
-        params,
-        cfg.camera,
-        cfg.lighting,
-        k_refine=cfg.k_refine,
-        workers=workers,
-        palette=cfg.palette,
+        F, cfg.region, cfg.embedding, params, cfg.camera, cfg.lighting,
+        k_refine=cfg.k_refine, workers=workers, palette=cfg.palette,
     )
     _write_output(path, lambda tmp: render.write_ppm(tmp, image))
 
 
-def _read_job(args) -> str:
-    """The job file's text, once --out and --dump-field, where given, have
-    passed outputPath's rule, so a path that names no file costs no work."""
-    for dest in ("out", "dump_field"):
-        if (path := getattr(args, dest, None)) is not None:
-            output_path(path, "--" + dest.replace("_", "-"))
-    return Path(args.config).read_text(encoding="utf-8")
+def _out(args, default) -> tuple[str, str]:
+    """(key, path) of the command's main output: --out where given, else
+    default, the path that outputPath gives."""
+    return ("--out", args.out) if args.out is not None else ("outputPath", str(default))
+
+
+def _check_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Refuse, before any work, an output (key, path) that cannot be
+    written: a path that names no file (outputPath's rule), an existing
+    directory, a path in no directory, or a file another key writes too."""
+    seen = {}
+    for key, path in outputs:
+        head = os.path.dirname(output_path(path, key)) or "."
+        if os.path.isdir(path):
+            raise ConfigError(f"{key}: {path} is a directory")
+        if not os.path.isdir(head):
+            raise ConfigError(f"{key}: {head} is not a directory")
+        # the directory entry that _write_output's rename replaces
+        entry = (os.path.realpath(head), os.path.basename(path))
+        if seen.setdefault(entry, key) != key:
+            raise ConfigError(f"{key}: names the same file as {seen[entry]}")
 
 
 def run_render(args) -> int:
-    cfg = parse_config(_read_job(args))
-    out = args.out or cfg.output_path
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    key, out = _out(args, cfg.output_path)
+    dump = [] if args.dump_field is None else [("--dump-field", args.dump_field)]
+    _check_outputs([(key, out), *dump])
     F = cfg.map.build()
     _render_to(out, F, cfg, cfg.params, args.workers)
     if args.dump_field:
@@ -104,8 +113,9 @@ def _complex_section(F: QRationalMap) -> oracle2d.CMap:
 
 
 def run_slice(args) -> int:
-    cfg = parse_config(_read_job(args))
-    out = args.out or str(Path(cfg.output_path).with_suffix(".pgm"))
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    key, out = _out(args, Path(cfg.output_path).with_suffix(".pgm"))
+    _check_outputs([(key, out)])
     F = _complex_section(cfg.map.build())
     bits = oracle2d.render_slice2d(F, cfg.slice_window, cfg.slice_resolution, cfg.params)
     _write_output(out, lambda tmp: oracle2d.write_pgm(tmp, bits))
@@ -113,30 +123,32 @@ def run_slice(args) -> int:
 
 
 def run_sweep(args) -> int:
-    spec = parse_sweep(_read_job(args))
+    spec = parse_sweep(Path(args.config).read_text(encoding="utf-8"))
     label = {radius: f"{radius:g}" for radius in spec.radii}
     if len(set(label.values())) < len(label):
         raise ConfigError("radii: distinct radii print alike at 6 significant digits")
     base = spec.base
-    out = args.out or str(Path(base.output_path).with_suffix(".csv"))
+    key, out = _out(args, Path(base.output_path).with_suffix(".csv"))
+    _check_outputs([(key, out)])
     out_path = Path(out)
+    images = [] if args.no_images else [
+        str(out_path.with_name(f"{out_path.stem}_r{label[radius]}_it{max_iter}.ppm"))
+        for radius, max_iter in spec.cells()
+    ]
+    _check_outputs([(key, image) for image in images])
     F = base.map.build()
     cells = [spec.cell_params(radius, max_iter) for radius, max_iter in spec.cells()]
     # one orbit pass per voxel answers every cell
     stack = field.scan(F, base.region, base.embedding, cells, workers=args.workers)
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
-    for fld in stack.fields:
-        radius, max_iter = fld.params.radius, fld.params.max_iter
+    for (radius, max_iter), fld in zip(spec.cells(), stack.fields):
         lines.append(
             f"{label[radius]},{max_iter},{fld.fraction_plotted():.6f},"
             f"{fld.fraction(OutcomeKind.ESCAPED):.6f},"
             f"{fld.fraction(OutcomeKind.CONVERGED):.6f},{fld.mean_steps():.6f}"
         )
-        if not args.no_images:
-            cell = out_path.with_name(
-                f"{out_path.stem}_r{label[radius]}_it{max_iter}.ppm"
-            )
-            _render_to(cell, F, base, fld.params, args.workers)
+    for fld, image in zip(stack.fields, images):
+        _render_to(image, F, base, fld.params, args.workers)
     text = "\n".join(lines) + "\n"
 
     def write_csv(tmp) -> None:
@@ -197,10 +209,12 @@ def _usable_cpus() -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "workers"):
-        # a worker beyond the usable CPUs only adds a process or a thread
-        args.workers = min(args.workers, _usable_cpus())
     try:
+        if hasattr(args, "workers"):
+            if args.workers < 1:
+                raise ValueError("--workers: must be >= 1")
+            # a worker beyond the usable CPUs only adds a process or a thread
+            args.workers = min(args.workers, _usable_cpus())
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         message = str(exc)

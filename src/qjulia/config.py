@@ -39,7 +39,7 @@ from qjulia import dynamics, oracle2d
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, QRationalMap
 from qjulia.field import Embedding, Region3
 from qjulia.quat import Quaternion
-from qjulia.render import _PALETTES, Camera, LightModel, LightingParams, normalize3
+from qjulia.render import PALETTES, Camera, LightModel, LightingParams, normalize3
 
 
 class ConfigError(ValueError):
@@ -270,7 +270,7 @@ _SECTIONS = {
 # RenderConfig's own scalars, at the top level
 _TOP = {
     "kRefine": ("k_refine", _count),
-    "palette": ("palette", lambda v, key: _choice(v, key, _PALETTES)),
+    "palette": ("palette", lambda v, key: _choice(v, key, PALETTES)),
     "outputPath": ("output_path", output_path),
 }
 # the slice block sets RenderConfig's own fields, with oracle2d's bounds

@@ -11,17 +11,14 @@ The per-seed arithmetic exists once, here, and runs on Python floats
 and on float64 arrays alike: ``_eval_poly`` (Horner), ``_divide`` (right
 division by the denominator) and ``plotted_bits`` (the plotted rule).
 The same operations in the same order give the same IEEE results on
-either, so ``field._step_batch`` calls them for a whole batch of lanes.
-``_eval_poly`` skips the terms of coefficient parts that are exactly
-0.0 (every bundled map and Newton transform has real coefficients with
-zero lower terms); on the finite iterates it is given, that can change
-only the sign of a zero, which no tag, step or depth sees.
+either, so ``_step_batch`` calls them for a whole batch of lanes.
 Only the orbit loops are twinned: ``classify`` runs on bare floats
 (r, m, n, p), with ``Quaternion`` only at the public edges, and
-``field._classify_cells`` is its batch mirror, which scans and renders
-run on their ClassifierParams cells.  Keep the two loops' decisions in
-sync; the renderer relies on the scalar and batch paths agreeing bit
-for bit.
+``classify_cells`` is its batch mirror, which ``field.scan`` and
+``render.cast_rays`` run on their ClassifierParams cells.  The two must
+agree bit for bit, decision for decision: the renderer's hits and the
+scan's independence of the worker count rest on it, so an edit to one
+loop is an edit to both.
 
 ``eval_poly`` and ``eval_map`` stay public though the package runs only
 the float forms: they are the Quaternion edge of the one Horner and
@@ -34,6 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from qjulia import quat
 from qjulia.quat import Quaternion
@@ -109,7 +108,7 @@ def rational_map(
 
 
 def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    """Horner's rule on floats or on float64 arrays (field._step_batch).
+    """Horner's rule on floats or on float64 arrays (_step_batch).
 
     A one-coefficient polynomial returns the coefficient's floats
     whatever h is.  Otherwise every term that a coefficient part of
@@ -158,7 +157,7 @@ def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
 
 
 def _eval_map(F: QRationalMap, hr, hm, hn, hp):
-    # one map application on floats; field._step_batch is the batch form
+    # one map application on floats; _step_batch is the batch form
     nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
     dr, dm, dn, dp = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
     ns = dr * dr + dm * dm + dn * dn + dp * dp
@@ -178,6 +177,27 @@ def _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns):
     bn = nr * in_ - nm * ip + nn * ir + npp * im
     bp = nr * ip + nm * in_ - nn * im + npp * ir
     return br, bm, bn, bp
+
+
+def _step_batch(F: QRationalMap, hr, hm, hn, hp):
+    """One map application on a batch; returns components plus pole mask.
+
+    _eval_map is the scalar form; here a pole lane divides by its
+    near-zero norm under errstate and is masked instead of raised.
+    """
+    with np.errstate(all="ignore"):
+        nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
+        den = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
+        # a one-coefficient denominator (the 1 below a polynomial map) is
+        # floats; filled to lane shape, the pole mask and results are arrays
+        # and the division is numpy's, which errstate covers
+        dr, dm, dn, dp = (
+            d if isinstance(d, np.ndarray) else np.full_like(hr, d) for d in den
+        )
+        ns = dr * dr + dm * dm + dn * dn + dp * dp
+        # not ns > EPS_DIV, so that a NaN norm is a pole too
+        pole = np.logical_not(ns > quat.EPS_DIV)
+        return (*_divide(nr, nm, nn, npp, dr, dm, dn, dp, ns), pole)
 
 
 def eval_poly(f: QPolynomial, h: Quaternion) -> Quaternion:
@@ -322,6 +342,106 @@ def classify(F: QRationalMap, seed: Quaternion, params: ClassifierParams) -> Orb
         return OrbitOutcome(OutcomeKind.ESCAPED, first_out)
     last = Quaternion(pr, pm, pn, pp)
     return OrbitOutcome(OutcomeKind.INDETERMINATE, params.max_iter, last)
+
+
+def classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, hn, hp):
+    """Vectorized classify for several cells at once.
+
+    The cells share cells[0]'s method; their radii and max_iter may
+    differ and repeat.
+
+    The orbit does not depend on the radius, and a cell with a smaller
+    max_iter sees a prefix of the longest orbit, so one pass to the
+    largest max_iter answers every cell.  Per lane the loop records the
+    step of a pole or overflow; per distinct radius, the first step
+    outside the ball (escape time) or the first step with
+    |p_n - p_{n-1}| < radius (cut-off rate, where a lane retires once its
+    smallest radius converges, since every larger one has then converged
+    too); and, for escape time, the norm at each distinct max_iter.  Each
+    cell's tag and step are then read off those records exactly as
+    classify would have decided them.
+
+    Returns (tags uint8, steps uint32), both shaped (len(cells), count).
+    Lanes drop out of the working set as they resolve; per-lane values
+    never depend on other lanes, so any partition of seeds into batches
+    gives identical results.
+    """
+    count = hr.size
+    escape = cells[0].method is ClassifierMethod.ESCAPE_TIME
+    radii = sorted({cell.radius for cell in cells})
+    iters = sorted({cell.max_iter for cell in cells})
+    first = [np.zeros(count, dtype=np.uint32) for _ in radii]
+    # NaN where a lane ended before that step, and NaN > radius is False
+    norm_at = {m: np.full(count, np.nan) for m in iters} if escape else {}
+    ended = np.zeros(count, dtype=np.uint32)
+    ended_tag = np.empty(count, dtype=np.uint8)
+    idx = np.arange(count)
+
+    prev = (hr, hm, hn, hp)
+    for n in range(1, iters[-1] + 1):
+        br, bm, bn, bp, pole = _step_batch(F, *prev)
+        finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
+        blown = ~finite & ~pole
+        if pole.any():
+            ended[idx[pole]] = n
+            ended_tag[idx[pole]] = OutcomeKind.POLE_HIT
+        if blown.any():
+            ended[idx[blown]] = n
+            ended_tag[idx[blown]] = OutcomeKind.ESCAPED
+        keep = finite & ~pole
+        if escape:
+            with np.errstate(all="ignore"):
+                norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
+            for radius, first_out in zip(radii, first):
+                newly = keep & (first_out[idx] == 0) & (norm > radius)
+                if newly.any():
+                    first_out[idx[newly]] = n
+            if n in norm_at:
+                norm_at[n][idx[keep]] = norm[keep]
+        else:
+            with np.errstate(all="ignore"):
+                dr = br - prev[0]
+                dm = bm - prev[1]
+                dn = bn - prev[2]
+                dp = bp - prev[3]
+                dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
+                # a live lane has not converged at the smallest radius yet
+                retire = keep & (dist < radii[0])
+            if retire.any():
+                first[0][idx[retire]] = n
+            for radius, first_conv in zip(radii[1:], first[1:]):
+                conv = keep & (first_conv[idx] == 0) & (dist < radius)
+                if conv.any():
+                    first_conv[idx[conv]] = n
+            keep &= ~retire
+        idx = idx[keep]
+        if idx.size == 0:
+            break
+        prev = (br[keep], bm[keep], bn[keep], bp[keep])
+
+    tags = np.empty((len(cells), count), dtype=np.uint8)
+    steps = np.empty((len(cells), count), dtype=np.uint32)
+    for tag, step, cell in zip(tags, steps, cells):
+        radius, max_iter = cell.radius, cell.max_iter
+        hit = first[radii.index(radius)]
+        tag[:] = OutcomeKind.INDETERMINATE
+        step[:] = max_iter
+        if escape:
+            out = norm_at[max_iter] > radius
+            tag[out] = OutcomeKind.ESCAPED
+            step[out] = hit[out]
+        done = (ended != 0) & (ended <= max_iter)
+        tag[done] = ended_tag[done]
+        step[done] = ended[done]
+        if escape:
+            # overflow reports the first step outside the ball, if any
+            late = done & (ended_tag == OutcomeKind.ESCAPED) & (hit != 0)
+            step[late] = hit[late]
+        else:
+            conv = (hit != 0) & (hit <= max_iter)
+            tag[conv] = OutcomeKind.CONVERGED
+            step[conv] = hit[conv]
+    return tags, steps
 
 
 def plotted_bits(kind, steps, params: ClassifierParams):

@@ -1,21 +1,11 @@
 """Volume scanning: classify every voxel of a 3-D region.
 
 Grid points (voxel corners, min + i*delta) are embedded into quaternion
-space, classified in vectorized batches, and collected into a
-ClassificationField of outcome tags and step counts.  The batch code
-calls the per-seed arithmetic of ``dynamics`` (``_eval_poly``,
-``_divide``, ``plotted_bits``) on whole arrays of lanes, and
-``embed_coords`` and ``_embed_batch`` share one component assignment,
-so the only code written twice is the orbit loop: ``_classify_cells``
-mirrors ``dynamics.classify`` decision for decision.  Scalar and
-vectorized classification agree bit for bit; that exact agreement is
-what makes scan results independent of the worker count.
-
-The batch classifier is one orbit loop over a sequence of
-ClassifierParams cells that share a method: a scan given several of them
-(a sweep) iterates each voxel once, to the largest max_iter, and reads
-every cell's outcome from per-radius first-step records.  Given one
-cell, it is the mirror of ``classify`` that the renderer samples with.
+space (``embed_coords`` on floats and ``embed_batch`` on arrays share
+one component assignment), classified in batches by
+``dynamics.classify_cells``, and collected into a ClassificationField of
+outcome tags and step counts.  A sequence of ClassifierParams cells (a
+sweep) gives a FieldStack from one orbit pass per voxel.
 
 The flat voxel index space is cut into fixed-size chunks whose
 boundaries never depend on how many workers run.  ``scan``'s workers
@@ -24,8 +14,8 @@ output arrays that live in shared anonymous memory, so no locking is
 needed and no result is copied back.  ``cast_rays``' march and refine
 still run their chunks on threads (``run_chunks``).
 
-``load_raw``, which nothing in the package calls, is the reader of the
-QJF1 format that ``save_raw`` (``render --dump-field``) writes.
+``save_csv`` and ``save_raw`` write a field as text or as QJF1;
+``load_raw``, which nothing in the package calls, is the QJF1 reader.
 """
 
 from __future__ import annotations
@@ -41,11 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qjulia import quat
-from qjulia.quat import EPS_DIV, Quaternion
-from qjulia import dynamics
+from qjulia import dynamics, quat
+from qjulia.quat import Quaternion
 from qjulia.dynamics import (
-    ClassifierMethod,
     ClassifierParams,
     OrbitOutcome,
     OutcomeKind,
@@ -141,131 +129,9 @@ def embed(region: Region3, emb: Embedding, ix: int, iy: int, iz: int) -> Quatern
     )
 
 
-def _embed_batch(emb: Embedding, xs, ys, zs):
+def embed_batch(emb: Embedding, xs, ys, zs):
     """Array version of embed_coords; returns the four component arrays."""
     return _embed(emb, xs, ys, zs, np.full_like(xs, emb.fixed_value))
-
-
-def _step_batch(F: QRationalMap, hr, hm, hn, hp):
-    """One map application on a batch; returns components plus pole mask.
-
-    dynamics._eval_map is the scalar form; here a pole lane divides by
-    its near-zero norm under errstate and is masked instead of raised.
-    """
-    with np.errstate(all="ignore"):
-        nr, nm, nn, npp = dynamics._eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
-        den = dynamics._eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
-        # a one-coefficient denominator (the 1 below a polynomial map) is
-        # floats; filled to lane shape, the pole mask and results are arrays
-        # and the division is numpy's, which errstate covers
-        dr, dm, dn, dp = (
-            d if isinstance(d, np.ndarray) else np.full_like(hr, d) for d in den
-        )
-        ns = dr * dr + dm * dm + dn * dn + dp * dp
-        # not ns > EPS_DIV, so that a NaN norm is a pole too
-        pole = np.logical_not(ns > EPS_DIV)
-        return (*dynamics._divide(nr, nm, nn, npp, dr, dm, dn, dp, ns), pole)
-
-
-def _classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, hn, hp):
-    """Vectorized dynamics.classify for several cells at once.
-
-    The cells share cells[0]'s method; their radii and max_iter may
-    differ and repeat.
-
-    The orbit does not depend on the radius, and a cell with a smaller
-    max_iter sees a prefix of the longest orbit, so one pass to the
-    largest max_iter answers every cell.  Per lane the loop records the
-    step of a pole or overflow; per distinct radius, the first step
-    outside the ball (escape time) or the first step with
-    |p_n - p_{n-1}| < radius (cut-off rate, where a lane retires once its
-    smallest radius converges, since every larger one has then converged
-    too); and, for escape time, the norm at each distinct max_iter.  Each
-    cell's tag and step are then read off those records exactly as
-    classify would have decided them.  With one cell the per-step numpy
-    ops are those of classify's loop, which this function mirrors.
-
-    Returns (tags uint8, steps uint32), both shaped (len(cells), count).
-    Lanes drop out of the working set as they resolve; per-lane values
-    never depend on other lanes, so any partition of seeds into batches
-    gives identical results.
-    """
-    count = hr.size
-    escape = cells[0].method is ClassifierMethod.ESCAPE_TIME
-    radii = sorted({cell.radius for cell in cells})
-    iters = sorted({cell.max_iter for cell in cells})
-    first = [np.zeros(count, dtype=np.uint32) for _ in radii]
-    # NaN where a lane ended before that step, and NaN > radius is False
-    norm_at = {m: np.full(count, np.nan) for m in iters} if escape else {}
-    ended = np.zeros(count, dtype=np.uint32)
-    ended_tag = np.empty(count, dtype=np.uint8)
-    idx = np.arange(count)
-
-    prev = (hr, hm, hn, hp)
-    for n in range(1, iters[-1] + 1):
-        br, bm, bn, bp, pole = _step_batch(F, *prev)
-        finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
-        blown = ~finite & ~pole
-        if pole.any():
-            ended[idx[pole]] = n
-            ended_tag[idx[pole]] = OutcomeKind.POLE_HIT
-        if blown.any():
-            ended[idx[blown]] = n
-            ended_tag[idx[blown]] = OutcomeKind.ESCAPED
-        keep = finite & ~pole
-        if escape:
-            with np.errstate(all="ignore"):
-                norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
-            for radius, first_out in zip(radii, first):
-                newly = keep & (first_out[idx] == 0) & (norm > radius)
-                if newly.any():
-                    first_out[idx[newly]] = n
-            if n in norm_at:
-                norm_at[n][idx[keep]] = norm[keep]
-        else:
-            with np.errstate(all="ignore"):
-                dr = br - prev[0]
-                dm = bm - prev[1]
-                dn = bn - prev[2]
-                dp = bp - prev[3]
-                dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
-                # a live lane has not converged at the smallest radius yet
-                retire = keep & (dist < radii[0])
-            if retire.any():
-                first[0][idx[retire]] = n
-            for radius, first_conv in zip(radii[1:], first[1:]):
-                conv = keep & (first_conv[idx] == 0) & (dist < radius)
-                if conv.any():
-                    first_conv[idx[conv]] = n
-            keep &= ~retire
-        idx = idx[keep]
-        if idx.size == 0:
-            break
-        prev = (br[keep], bm[keep], bn[keep], bp[keep])
-
-    tags = np.empty((len(cells), count), dtype=np.uint8)
-    steps = np.empty((len(cells), count), dtype=np.uint32)
-    for tag, step, cell in zip(tags, steps, cells):
-        radius, max_iter = cell.radius, cell.max_iter
-        hit = first[radii.index(radius)]
-        tag[:] = OutcomeKind.INDETERMINATE
-        step[:] = max_iter
-        if escape:
-            out = norm_at[max_iter] > radius
-            tag[out] = OutcomeKind.ESCAPED
-            step[out] = hit[out]
-        done = (ended != 0) & (ended <= max_iter)
-        tag[done] = ended_tag[done]
-        step[done] = ended[done]
-        if escape:
-            # overflow reports the first step outside the ball, if any
-            late = done & (ended_tag == OutcomeKind.ESCAPED) & (hit != 0)
-            step[late] = hit[late]
-        else:
-            conv = (hit != 0) & (hit <= max_iter)
-            tag[conv] = OutcomeKind.CONVERGED
-            step[conv] = hit[conv]
-    return tags, steps
 
 
 @dataclass
@@ -489,10 +355,8 @@ def scan(
     def run_chunk(lo: int, hi: int) -> None:
         flat = np.arange(lo, hi)
         ix, iy, iz = flat % nx, (flat // nx) % ny, flat // (nx * ny)
-        hr, hm, hn, hp = _embed_batch(
-            emb, region.coord(0, ix), region.coord(1, iy), region.coord(2, iz)
-        )
-        tags[:, lo:hi], steps[:, lo:hi] = _classify_cells(F, cells, hr, hm, hn, hp)
+        q = embed_batch(emb, region.coord(0, ix), region.coord(1, iy), region.coord(2, iz))
+        tags[:, lo:hi], steps[:, lo:hi] = dynamics.classify_cells(F, cells, *q)
 
     run_forked(run_chunk, total, workers)
 

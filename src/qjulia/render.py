@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qjulia import field as fld
+from qjulia import dynamics, field as fld
 from qjulia.dynamics import ClassifierParams, QRationalMap, plotted_bits
 
-_PALETTES = ("gray", "steps")
+PALETTES = ("gray", "steps")
 _VIEW_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1), "+z": (2, 1), "-z": (2, -1)}
 
 
@@ -150,8 +150,8 @@ def cast_rays(
         coords[axis] = ts
         coords[u_axis] = us[pix % w]
         coords[v_axis] = vs[pix // w]
-        q = fld._embed_batch(emb, *coords)
-        (tags,), (steps,) = fld._classify_cells(F, (params,), *q)
+        q = fld.embed_batch(emb, *coords)
+        (tags,), (steps,) = dynamics.classify_cells(F, (params,), *q)
         return q, steps, plotted_bits(tags, steps, params)
 
     def march(lo: int, hi: int) -> None:
@@ -257,7 +257,7 @@ def render_image(
 ) -> np.ndarray:
     """First-hit render; uint8 grayscale (h, w), or RGB (h, w, 3) for the
     steps palette, which colors hits by convergence step count."""
-    if palette not in _PALETTES:
+    if palette not in PALETTES:
         raise ValueError("palette must be 'gray' or 'steps'")
     dm = cast_rays(F, region, emb, params, camera, k_refine, workers)
     h, w = dm.hit.shape

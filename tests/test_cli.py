@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from conftest import MALFORMED_JOBS
 
-from qjulia import field, oracle2d, render
+from qjulia import dynamics, field, oracle2d, render
 from qjulia.cli import main
 from qjulia.config import parse_sweep
 from qjulia.dynamics import OutcomeKind
@@ -32,6 +32,22 @@ def tiny_newton(tmp_path, **overrides):
     }
     data.update(overrides)
     return write_cfg(tmp_path, "job.json", data)
+
+
+def tiny_sweep(tmp_path, **overrides):
+    """A one-cell sweep over tiny_newton's job."""
+    base = json.loads(Path(tiny_newton(tmp_path, **overrides)).read_text())
+    return write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+
+
+def _refuse_work(monkeypatch):
+    """Make every command's work fail the test if it starts."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(render, "render_image"), (field, "scan"), (oracle2d, "render_slice2d")]:
+        monkeypatch.setattr(module, name, work)
 
 
 def test_render_writes_ppm(tmp_path, capsys):
@@ -123,8 +139,7 @@ def test_workers_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, workers, u
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
     seen = _record_workers(monkeypatch)
     cfg = tiny_newton(tmp_path)
-    base = json.loads((tmp_path / "job.json").read_text())
-    sweep = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    sweep = tiny_sweep(tmp_path)
     assert main(["render", cfg, "--workers", workers, "--dump-field", str(tmp_path / "f.qjf")]) == 0
     assert main(["sweep", sweep, "--workers", workers]) == 0
     # render: march, refine, scan; sweep: scan, then the cell's march and refine
@@ -142,14 +157,12 @@ def test_workers_cap_falls_back_to_the_cpu_count(tmp_path, monkeypatch, cpu_coun
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize("command", ["render", "sweep"])
-def test_workers_below_one_is_one_error_line(tmp_path, capsys, command, workers):
-    cfg = tiny_newton(tmp_path)
-    if command == "sweep":
-        base = json.loads((tmp_path / "job.json").read_text())
-        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+def test_workers_below_one_is_one_error_line(tmp_path, capsys, monkeypatch, command, workers):
+    _refuse_work(monkeypatch)
+    cfg = tiny_sweep(tmp_path) if command == "sweep" else tiny_newton(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
     assert main([command, cfg, "--workers", workers]) == 1
-    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert capsys.readouterr().err == "error: --workers: must be >= 1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -177,19 +190,52 @@ def test_malformed_job_is_one_error_line_naming_its_key(tmp_path, capsys, comman
 def test_output_option_that_names_no_file_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch, command, option, path
 ):
-    def work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    for module, name in [(render, "render_image"), (field, "scan"), (oracle2d, "render_slice2d")]:
-        monkeypatch.setattr(module, name, work)
-    cfg = tiny_newton(tmp_path)
-    if command == "sweep":
-        base = json.loads((tmp_path / "job.json").read_text())
-        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    _refuse_work(monkeypatch)
+    cfg = tiny_sweep(tmp_path) if command == "sweep" else tiny_newton(tmp_path)
     before = sorted(p.name for p in tmp_path.iterdir())
     assert main([command, cfg, option, path.format(tmp=tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {option}: expected a path ending in a file name\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, argv, output_path, key, reason", [
+    ("render", [], "outdir", "outputPath", "is a directory"),
+    ("render", ["--out", "outdir"], "out.ppm", "--out", "is a directory"),
+    ("render", ["--out", "nodir/x.ppm"], "out.ppm", "--out", "is not a directory"),
+    ("render", [], "nodir/out.ppm", "outputPath", "is not a directory"),
+    ("render", ["--out", "job.json/x.ppm"], "out.ppm", "--out", "is not a directory"),
+    ("render", ["--dump-field", "outdir"], "out.ppm", "--dump-field", "is a directory"),
+    ("render", ["--dump-field", "nodir/f.qjf"], "out.ppm", "--dump-field", "is not a directory"),
+    ("render", ["--out", "same.out", "--dump-field", "same.out"], "out.ppm",
+     "--dump-field", "names the same file as --out"),
+    ("render", ["--dump-field", "outdir/../out.ppm"], "out.ppm",
+     "--dump-field", "names the same file as outputPath"),
+    ("slice", [], "outdir.ppm", "outputPath", "is a directory"),
+    ("slice", ["--out", "nodir/x.pgm"], "out.ppm", "--out", "is not a directory"),
+    ("slice", [], "nodir/out.ppm", "outputPath", "is not a directory"),
+    ("sweep", ["--out", "outdir"], "out.ppm", "--out", "is a directory"),
+    ("sweep", ["--out", "nodir/s.csv"], "out.ppm", "--out", "is not a directory"),
+    ("sweep", [], "nodir/out.ppm", "outputPath", "is not a directory"),
+    # the CSV can be written, but its one cell's image is a directory
+    ("sweep", ["--out", "s.csv"], "out.ppm", "--out", "s_r2_it5.ppm is a directory"),
+    ("sweep", [], "s.ppm", "outputPath", "s_r2_it5.ppm is a directory"),
+])
+def test_output_that_cannot_be_written_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, argv, output_path, key, reason
+):
+    _refuse_work(monkeypatch)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "outdir.pgm").mkdir()
+    (tmp_path / "s_r2_it5.ppm").mkdir()
+    job = tiny_sweep if command == "sweep" else tiny_newton
+    cfg = job(tmp_path, outputPath=str(tmp_path / output_path))
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, cfg, *argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {key}: ") and reason in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_slice_refuses_non_real_map_naming_map(tmp_path, capsys):
@@ -403,10 +449,7 @@ def _raises(exc):
 def test_memory_error_and_interrupt_end_in_one_error_line(
     tmp_path, capsys, monkeypatch, exc, message, command
 ):
-    cfg = tiny_newton(tmp_path)
-    if command == "sweep":
-        base = json.loads((tmp_path / "job.json").read_text())
-        cfg = write_cfg(tmp_path, "sweep.json", {"radii": [2.0], "iterationCounts": [5], "base": base})
+    cfg = tiny_sweep(tmp_path) if command == "sweep" else tiny_newton(tmp_path)
     layer = (render, "render_image") if command == "render" else (field, "scan")
     monkeypatch.setattr(*layer, _raises(exc))
     assert main([command, cfg, "--workers", "1"]) == 1
@@ -435,14 +478,14 @@ def test_failing_scan_worker_ends_in_one_error_line(
     # 729 voxels in 100-voxel slices, so two workers fork two children
     monkeypatch.setattr(field, "_CHUNK", 100)
     parent = os.getpid()
-    classify_cells = field._classify_cells
+    classify_cells = dynamics.classify_cells
 
     def fail_in_child(*args):
         if os.getpid() != parent:
             fail()
         return classify_cells(*args)
 
-    monkeypatch.setattr(field, "_classify_cells", fail_in_child)
+    monkeypatch.setattr(dynamics, "classify_cells", fail_in_child)
     assert main(["sweep", cfg, "--workers", "2", "--no-images"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", message + "\n")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qjulia import dynamics as dyn
-from qjulia import field as fld
 from qjulia import quat
 from qjulia.quat import Quaternion
 
@@ -292,7 +291,7 @@ def test_classify_matches_reference_on_quaternion_coefficients():
                 want = _reference_classify(F, s, params)
                 assert (out.kind, out.steps) == (want.kind, want.steps)
                 assert _bits(out.last) == _bits(want.last)
-            (tags,), (steps,) = fld._classify_cells(F, (params,), hr, hm, hn, hp)
+            (tags,), (steps,) = dyn.classify_cells(F, (params,), hr, hm, hn, hp)
             assert tags.tolist() == [o.kind for o in outs]
             assert steps.tolist() == [o.steps for o in outs]
             kinds.update(o.kind for o in outs)
@@ -380,6 +379,6 @@ def test_classify_on_zero_part_maps_matches_reference_and_batch(F, params):
         assert (out.kind, out.steps) == (want.kind, want.steps), s
         assert out.last == want.last, s
     hr, hm, hn, hp = (np.array(c) for c in zip(*seeds_))
-    (tags,), (steps,) = fld._classify_cells(F, (params,), hr, hm, hn, hp)
+    (tags,), (steps,) = dyn.classify_cells(F, (params,), hr, hm, hn, hp)
     assert tags.tolist() == [o.kind for o in outs]
     assert steps.tolist() == [o.steps for o in outs]

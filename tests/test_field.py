@@ -124,7 +124,7 @@ def test_batch_matches_scalar_on_random_seeds():
         hm = np.array([s.m for s in batch])
         hn = np.array([s.n for s in batch])
         hp = np.array([s.p for s in batch])
-        (tags,), (steps,) = fld._classify_cells(F, (params,), hr, hm, hn, hp)
+        (tags,), (steps,) = dyn.classify_cells(F, (params,), hr, hm, hn, hp)
         for i, s in enumerate(batch):
             want = dyn.classify(F, s, params)
             assert (OutcomeKind(int(tags[i])), int(steps[i])) == (want.kind, want.steps)

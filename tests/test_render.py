@@ -22,15 +22,15 @@ HEADLIGHT = rnd.LightingParams(rnd.LightModel.SIMPLE_LAMBERTIAN, (0.0, 0.0, 1.0)
 
 @pytest.fixture
 def classify_lanes(monkeypatch):
-    """The lane count of every fld._classify_cells call, in call order."""
+    """The lane count of every dyn.classify_cells call, in call order."""
     lanes = []
-    classify = fld._classify_cells
+    classify = dyn.classify_cells
 
     def counting(F, cells, hr, hm, hn, hp):
         lanes.append(hr.size)
         return classify(F, cells, hr, hm, hn, hp)
 
-    monkeypatch.setattr(fld, "_classify_cells", counting)
+    monkeypatch.setattr(dyn, "classify_cells", counting)
     return lanes
 
 
