@@ -38,13 +38,16 @@ class _Staged(os.PathLike):
 
 
 def _write_output(path, write: Callable[[os.PathLike], None]) -> None:
-    """Run write(tmp) on a sibling temp file, then os.replace it onto path.
+    """Run write(tmp) on a temp file, then os.replace it onto path.
 
-    The temp file is created with open()'s default 0o666-minus-umask mode,
+    A symlinked path is written through, as open() would: the temp file
+    sits next to the file the link resolves to and replaces that file,
+    so the link survives (a dangling link gets its target created).  The
+    temp file is created with open()'s default 0o666-minus-umask mode,
     or the mode of the file it replaces, as writing in place would leave
     it.  If write fails, the temp file is removed and path is untouched.
     """
-    staged = _Staged(os.fspath(path))
+    staged = _Staged(os.path.realpath(path))
     os.close(os.open(staged.current, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         with contextlib.suppress(FileNotFoundError):
@@ -86,8 +89,10 @@ def _check_outputs(outputs: list[tuple[str, str]]) -> None:
             raise ConfigError(f"{key}: {path} is a directory")
         if not os.path.isdir(head):
             raise ConfigError(f"{key}: {head} is not a directory")
-        # the directory entry that _write_output's rename replaces
-        entry = (os.path.realpath(head), os.path.basename(path))
+        # the file that _write_output's rename replaces, through any link
+        entry = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(entry)):
+            raise ConfigError(f"{key}: {path} links into a path that is not a directory")
         if seen.setdefault(entry, key) != key:
             raise ConfigError(f"{key}: names the same file as {seen[entry]}")
 
@@ -131,13 +136,14 @@ def run_sweep(args) -> int:
     key, out = _out(args, Path(base.output_path).with_suffix(".csv"))
     _check_outputs([(key, out)])
     out_path = Path(out)
-    images = [] if args.no_images else [
-        str(out_path.with_name(f"{out_path.stem}_r{label[radius]}_it{max_iter}.ppm"))
-        for radius, max_iter in spec.cells()
-    ]
+    cells = [spec.cell_params(radius, max_iter) for radius, max_iter in spec.cells()]
+    # a repeated cell names the same image: render and write it once
+    images = {} if args.no_images else {
+        str(out_path.with_name(f"{out_path.stem}_r{label[p.radius]}_it{p.max_iter}.ppm")): p
+        for p in cells
+    }
     _check_outputs([(key, image) for image in images])
     F = base.map.build()
-    cells = [spec.cell_params(radius, max_iter) for radius, max_iter in spec.cells()]
     # one orbit pass per voxel answers every cell
     stack = field.scan(F, base.region, base.embedding, cells, workers=args.workers)
     lines = ["radius,maxIter,fracPlotted,fracEscaped,fracConverged,meanSteps"]
@@ -147,8 +153,8 @@ def run_sweep(args) -> int:
             f"{fld.fraction(OutcomeKind.ESCAPED):.6f},"
             f"{fld.fraction(OutcomeKind.CONVERGED):.6f},{fld.mean_steps():.6f}"
         )
-    for fld, image in zip(stack.fields, images):
-        _render_to(image, F, base, fld.params, args.workers)
+    for image, params in images.items():
+        _render_to(image, F, base, params, args.workers)
     text = "\n".join(lines) + "\n"
 
     def write_csv(tmp) -> None:

@@ -44,8 +44,10 @@ import numpy as np
 from qjulia.dynamics import ClassifierMethod, ClassifierParams, OutcomeKind
 
 EPS_DIV = 1e-300
-# lanes per _classify2d_batch call in render_slice2d
-_CHUNK = 4096
+# lanes per _classify2d_batch call in render_slice2d: as cut-off lanes
+# retire, a wide batch keeps each numpy op wide; a much wider one
+# outgrows the cache and costs memory for no gain
+_CHUNK = 16384
 
 
 class Pole2d(ArithmeticError):

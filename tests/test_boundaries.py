@@ -1,9 +1,13 @@
-"""No module reads another module's private names.
+"""No module reads another module's private names, and one owns ``gc``.
 
 A ``src/qjulia`` module may use a ``_``-prefixed name only of its own:
 ``mod._x`` on another qjulia module, or ``from qjulia.mod import _x``,
 fails here.  What two modules share is public in the module that owns
 it.  Tests and perfbench may still read private names.
+
+The garbage collector belongs to the process entry: only ``__main__``
+calls a ``gc`` function, so a library caller of any other module keeps
+its collector as it set it.
 """
 
 import ast
@@ -77,3 +81,54 @@ cli._own, fld.__name__, fld.scan, _PALETTES
         "config._need", "dynamics._divide", "field._embed_batch",
         "oracle2d._CHUNK", "quat._x", "render._PALETTES",
     ]
+
+
+def _gc_calls(source: str) -> list[str]:
+    """'gc.f' once for each gc function f that source calls; sorted."""
+    modules, functions = set(), {}  # local names bound to gc / to gc.f
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level:
+            functions.update({a.asname or a.name: a.name for a in node.names})
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id in modules:
+                calls.append(f"gc.{func.attr}")
+        elif isinstance(func, ast.Name) and func.id in functions:
+            calls.append(f"gc.{functions[func.id]}")
+    return sorted(set(calls))
+
+
+def test_only_the_process_entry_calls_gc():
+    calls = [
+        f"{path.stem} -> {call}"
+        for path in PACKAGE
+        if path.stem != "__main__"
+        for call in _gc_calls(path.read_text())
+    ]
+    assert calls == []
+    assert _gc_calls((PACKAGE[0].parent / "__main__.py").read_text()) == [
+        "gc.disable", "gc.enable", "gc.freeze",
+    ]
+
+
+def test_the_gc_guard_sees_every_form_of_a_call():
+    source = """
+import gc, os
+import gc as collector
+from gc import freeze, collect as sweep
+
+def main():
+    gc.disable()
+    collector.enable()
+    freeze()
+    sweep(0)
+    os.getpid(), gc.isenabled
+"""
+    assert _gc_calls(source) == ["gc.collect", "gc.disable", "gc.enable", "gc.freeze"]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -372,6 +373,35 @@ def test_sweep_csv_and_images(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_sweep_renders_each_distinct_image_once(tmp_path, capsys, monkeypatch):
+    # repeated radii and repeated counts name the same image: one render,
+    # one file and one "wrote" line each, with the bytes of a plain sweep
+    calls = []
+    render_image = render.render_image
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return render_image(*args, **kwargs)
+
+    base = json.loads(Path(tiny_newton(tmp_path)).read_text())
+    plain, repeated = tmp_path / "plain", tmp_path / "repeated"
+    for out, radii, counts in ((plain, [2.0], [5, 12]), (repeated, [2.0, 2.0], [5, 12, 5])):
+        out.mkdir()
+        spec = {"radii": radii, "iterationCounts": counts,
+                "base": {**base, "outputPath": str(out / "s.csv")}}
+        cfg = write_cfg(out, "sweep.json", spec)
+        calls.clear()
+        monkeypatch.setattr(render, "render_image", spy)
+        assert main(["sweep", cfg, "--workers", "1"]) == 0
+        assert [(p.radius, p.max_iter) for p in calls] == [(2.0, 5), (2.0, 12)]
+    wrote = capsys.readouterr().out.splitlines()
+    images = ["s_r2_it5.ppm", "s_r2_it12.ppm"]
+    assert wrote[3:] == [f"wrote {repeated / name}" for name in [*images, "s.csv"]]
+    for name in images:
+        assert (repeated / name).read_bytes() == (plain / name).read_bytes()
+    assert len((repeated / "s.csv").read_text().splitlines()) == 1 + 6
+
+
 def test_sweep_refuses_radii_that_print_alike(tmp_path, capsys):
     # both print as 0.123457, so they would share a CSV label and an image
     base = json.loads(Path(tiny_newton(tmp_path)).read_text())
@@ -552,6 +582,47 @@ def test_outputs_keep_the_file_mode_of_a_plain_open(tmp_path):
     assert os.stat(out).st_mode & 0o777 == 0o640
 
 
+def test_output_symlink_is_written_through(tmp_path, capsys):
+    cfg = tiny_newton(tmp_path)
+    assert main(["render", cfg, "--workers", "1", "--out", str(tmp_path / "want.ppm")]) == 0
+    real, link = tmp_path / "real.ppm", tmp_path / "link.ppm"
+    real.write_bytes(b"stale")
+    os.chmod(real, 0o640)
+    link.symlink_to(real)
+    assert main(["render", cfg, "--workers", "1", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == (tmp_path / "want.ppm").read_bytes()
+    assert os.stat(real).st_mode & 0o777 == 0o640
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {link}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "link.ppm", "real.ppm", "want.ppm"]
+
+
+def test_dangling_output_symlink_creates_its_target(tmp_path):
+    # as open(link, "wb") would
+    cfg = tiny_newton(tmp_path)
+    (tmp_path / "sub").mkdir()
+    real, link = tmp_path / "sub" / "real.pgm", tmp_path / "link.pgm"
+    link.symlink_to(real)
+    assert main(["slice", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes().startswith(b"P5\n")
+
+
+def test_output_symlink_and_its_target_are_one_file(tmp_path, capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    cfg = tiny_newton(tmp_path)
+    real, link = tmp_path / "real.ppm", tmp_path / "link.ppm"
+    link.symlink_to(real)
+    assert main(["render", cfg, "--out", str(link), "--dump-field", str(real)]) == 1
+    assert capsys.readouterr().err == "error: --dump-field: names the same file as --out\n"
+    far = tmp_path / "far.ppm"
+    far.symlink_to(tmp_path / "nodir" / "x.ppm")
+    assert main(["render", cfg, "--out", str(far)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out: {far} links into a path that is not a directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.ppm", "job.json", "link.ppm"]
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["render", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -588,6 +659,22 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out.ppm").exists()
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    probe = "import gc, qjulia.__main__; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
+
+
+def test_cli_main_leaves_the_collector_alone(tmp_path):
+    # library callers and tests run main in their own process
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["render", tiny_newton(tmp_path), "--workers", "1"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_cli_import_leaves_the_thread_pool_out():

@@ -164,6 +164,28 @@ def test_render_slice2d_chunks_match_per_pixel_scalar(name, monkeypatch):
     assert np.array_equal(bits, want)
 
 
+def test_render_slice2d_default_width_matches_narrow_chunks(monkeypatch):
+    # the bundled 257x257 window is 66,049 seeds: four full batches at the
+    # default width and a ragged last one of 513
+    cfg = parse_config((CONFIGS / "newton_cubic_cutoff.json").read_text())
+    F = _complex_section(cfg.map.build())
+    args = (F, cfg.slice_window, cfg.slice_resolution, cfg.params)
+    total = cfg.slice_resolution[0] * cfg.slice_resolution[1]
+    assert (orc._CHUNK, total % orc._CHUNK) == (16384, 513)
+    lanes = []
+    batch = orc._classify2d_batch
+
+    def spy(F, xs, ys, params):
+        lanes.append(xs.size)
+        return batch(F, xs, ys, params)
+
+    monkeypatch.setattr(orc, "_classify2d_batch", spy)
+    wide = orc.render_slice2d(*args)
+    assert lanes == [16384] * 4 + [513]
+    monkeypatch.setattr(orc, "_CHUNK", 37)
+    assert np.array_equal(orc.render_slice2d(*args), wide)
+
+
 def test_render_slice2d_unit_disc():
     bits = orc.render_slice2d(SQUARE_C, (-2.0, 2.0, -2.0, 2.0), (65, 65), ET2)
     assert bits.shape == (65, 65)
