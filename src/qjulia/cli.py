@@ -78,11 +78,12 @@ def _out(args, default) -> tuple[str, str]:
     return ("--out", args.out) if args.out is not None else ("outputPath", str(default))
 
 
-def _check_outputs(outputs: list[tuple[str, str]]) -> None:
+def _check_outputs(job: str, outputs: list[tuple[str, str]]) -> None:
     """Refuse, before any work, an output (key, path) that cannot be
     written: a path that names no file (outputPath's rule), an existing
-    directory, a path in no directory, or a file another key writes too."""
-    seen = {}
+    directory, a path in no directory, or a file that the job file or
+    another output is too, compared through links."""
+    seen = {os.path.realpath(job): ("the job file", job)}
     for key, path in outputs:
         head = os.path.dirname(output_path(path, key)) or "."
         if os.path.isdir(path):
@@ -93,15 +94,19 @@ def _check_outputs(outputs: list[tuple[str, str]]) -> None:
         entry = os.path.realpath(path)
         if not os.path.isdir(os.path.dirname(entry)):
             raise ConfigError(f"{key}: {path} links into a path that is not a directory")
-        if seen.setdefault(entry, key) != key:
-            raise ConfigError(f"{key}: names the same file as {seen[entry]}")
+        if entry in seen:
+            other, first = seen[entry]
+            if other == key:  # one key, two names: say which
+                raise ConfigError(f"{key}: {path} names the same file as {first}")
+            raise ConfigError(f"{key}: names the same file as {other}")
+        seen[entry] = key, path
 
 
 def run_render(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     key, out = _out(args, cfg.output_path)
     dump = [] if args.dump_field is None else [("--dump-field", args.dump_field)]
-    _check_outputs([(key, out), *dump])
+    _check_outputs(args.config, [(key, out), *dump])
     F = cfg.map.build()
     _render_to(out, F, cfg, cfg.params, args.workers)
     if args.dump_field:
@@ -120,7 +125,7 @@ def _complex_section(F: QRationalMap) -> oracle2d.CMap:
 def run_slice(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     key, out = _out(args, Path(cfg.output_path).with_suffix(".pgm"))
-    _check_outputs([(key, out)])
+    _check_outputs(args.config, [(key, out)])
     F = _complex_section(cfg.map.build())
     bits = oracle2d.render_slice2d(F, cfg.slice_window, cfg.slice_resolution, cfg.params)
     _write_output(out, lambda tmp: oracle2d.write_pgm(tmp, bits))
@@ -134,15 +139,14 @@ def run_sweep(args) -> int:
         raise ConfigError("radii: distinct radii print alike at 6 significant digits")
     base = spec.base
     key, out = _out(args, Path(base.output_path).with_suffix(".csv"))
-    _check_outputs([(key, out)])
-    out_path = Path(out)
+    out_path = Path(output_path(out, key))
     cells = [spec.cell_params(radius, max_iter) for radius, max_iter in spec.cells()]
     # a repeated cell names the same image: render and write it once
     images = {} if args.no_images else {
         str(out_path.with_name(f"{out_path.stem}_r{label[p.radius]}_it{p.max_iter}.ppm")): p
         for p in cells
     }
-    _check_outputs([(key, image) for image in images])
+    _check_outputs(args.config, [(key, out), *((key, image) for image in images)])
     F = base.map.build()
     # one orbit pass per voxel answers every cell
     stack = field.scan(F, base.region, base.embedding, cells, workers=args.workers)

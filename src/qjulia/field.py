@@ -221,20 +221,15 @@ def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> Non
     cast_rays' runner: its march and refine write ordinary arrays.
     Threads scale badly here, since numpy holds the GIL between the small
     ops of a batch; scan uses run_forked instead.  The first error raised
-    by a chunk, in slice order, is re-raised.
+    by a chunk, in slice order, is re-raised, and the chunks still queued
+    never run.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     slices = _slices(total, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in slices]
-        try:
-            for fut in futures:
-                fut.result()
-        except BaseException:
-            # stop at the first failure instead of running the queued chunks
-            pool.shutdown(cancel_futures=True)
-            raise
+        for _ in pool.map(lambda s: run(*s), slices):
+            pass
 
 
 def run_forked(run: Callable[[int, int], None], total: int, workers: int) -> None:

@@ -8,6 +8,9 @@ it.  Tests and perfbench may still read private names.
 The garbage collector belongs to the process entry: only ``__main__``
 calls a ``gc`` function, so a library caller of any other module keeps
 its collector as it set it.
+
+Parallelism has one home: only ``field`` (its two runners) forks or
+imports a module that starts threads or processes.
 """
 
 import ast
@@ -132,3 +135,55 @@ def main():
     os.getpid(), gc.isenabled
 """
     assert _gc_calls(source) == ["gc.collect", "gc.disable", "gc.enable", "gc.freeze"]
+
+
+_PARALLEL = ("concurrent.futures", "threading", "multiprocessing", "subprocess")
+
+
+def _parallelism(source: str) -> list[str]:
+    """Each of _PARALLEL that source imports (itself or a submodule), and
+    'os.fork' if it uses os.fork; sorted."""
+    imported, os_names = [], set()  # dotted names imported, local names bound to os
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+            os_names.update(a.asname or a.name for a in node.names if a.name == "os")
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported += [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+    found = {
+        module for module in _PARALLEL for name in imported
+        if name == module or name.startswith(module + ".")
+    }
+    if "os.fork" in imported or any(
+        isinstance(node, ast.Attribute) and node.attr == "fork"
+        and isinstance(node.value, ast.Name) and node.value.id in os_names
+        for node in ast.walk(tree)
+    ):
+        found.add("os.fork")
+    return sorted(found)
+
+
+def test_only_field_starts_threads_or_processes():
+    found = [
+        f"{path.stem} -> {name}"
+        for path in PACKAGE
+        if path.stem != "field"
+        for name in _parallelism(path.read_text())
+    ]
+    assert found == []
+    assert _parallelism((PACKAGE[0].parent / "field.py").read_text()) == [
+        "concurrent.futures", "os.fork",
+    ]
+
+
+def test_the_parallelism_guard_sees_every_form_of_an_import():
+    assert _parallelism("""
+import os as system, threading
+from concurrent import futures
+import multiprocessing.pool
+from subprocess import run
+system.fork()
+""") == ["concurrent.futures", "multiprocessing", "os.fork", "subprocess", "threading"]
+    assert _parallelism("from os import fork as spawn\nspawn()") == ["os.fork"]
+    assert _parallelism("import os, concurrent\nos.getpid(), os.forkpty") == []

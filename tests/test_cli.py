@@ -623,6 +623,54 @@ def test_output_symlink_and_its_target_are_one_file(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.ppm", "job.json", "link.ppm"]
 
 
+def _snapshot(directory):
+    """Each entry of directory with its bytes (a link's, read through it)."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("command, argv, output_path, key", [
+    ("render", [], "job.json", "outputPath"),
+    ("render", ["--out", "job.json"], "out.ppm", "--out"),
+    ("render", ["--dump-field", "job.json"], "out.ppm", "--dump-field"),
+    ("render", ["--dump-field", "link.json"], "out.ppm", "--dump-field"),
+    ("slice", ["--out", "link.json"], "out.ppm", "--out"),
+    ("sweep", ["--out", "sweep.json"], "out.ppm", "--out"),
+])
+def test_output_that_names_the_job_file_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, argv, output_path, key
+):
+    _refuse_work(monkeypatch)
+    job = tiny_sweep if command == "sweep" else tiny_newton
+    cfg = job(tmp_path, outputPath=str(tmp_path / output_path))
+    (tmp_path / "link.json").symlink_to(cfg)
+    before = _snapshot(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, cfg, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {key}: names the same file as the job file\n"
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, key", [([], "outputPath"), (["--out", "{tmp}/s.csv"], "--out")])
+@pytest.mark.parametrize("target", ["s.csv", "s_r2_it5.ppm"])
+def test_sweep_output_that_links_to_another_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, key, target
+):
+    # one key names both files, so the line names the second path
+    _refuse_work(monkeypatch)
+    base = json.loads(Path(tiny_newton(tmp_path, outputPath=str(tmp_path / "s.csv"))).read_text())
+    spec = {"radii": [2.0], "iterationCounts": [5, 12], "base": base}
+    cfg = write_cfg(tmp_path, "sweep.json", spec)
+    (tmp_path / target).write_bytes(b"old")
+    link = tmp_path / "s_r2_it12.ppm"
+    link.symlink_to(tmp_path / target)
+    before = _snapshot(tmp_path)
+    assert main(["sweep", cfg, *(a.format(tmp=tmp_path) for a in argv)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key}: {link} names the same file as {tmp_path / target}\n"
+    )
+    assert _snapshot(tmp_path) == before
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["render", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
