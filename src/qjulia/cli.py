@@ -81,13 +81,16 @@ def _out(args, default) -> tuple[str, str]:
 def _check_outputs(job: str, outputs: list[tuple[str, str]]) -> None:
     """Refuse, before any work, an output (key, path) that cannot be
     written: a path that names no file (outputPath's rule), an existing
-    directory, a path in no directory, or a file that the job file or
-    another output is too, compared through links."""
+    directory or other file that is not a regular one (a FIFO, a device),
+    a path in no directory, or a file that the job file or another output
+    is too, compared through links."""
     seen = {os.path.realpath(job): ("the job file", job)}
     for key, path in outputs:
         head = os.path.dirname(output_path(path, key)) or "."
         if os.path.isdir(path):
             raise ConfigError(f"{key}: {path} is a directory")
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError(f"{key}: {path} is not a regular file")
         if not os.path.isdir(head):
             raise ConfigError(f"{key}: {head} is not a directory")
         # the file that _write_output's rename replaces, through any link
@@ -169,8 +172,16 @@ def run_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so main reports them as one
+    error line with exit status 1, as any other failure."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qjulia",
         description="Render 3-D slices of quaternionic Julia sets.",
     )
@@ -218,8 +229,8 @@ def _usable_cpus() -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if hasattr(args, "workers"):
             if args.workers < 1:
                 raise ValueError("--workers: must be >= 1")

@@ -346,6 +346,8 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("invalid JSON: nested too deeply") from exc
 
 
 def parse_config(text: str) -> RenderConfig:

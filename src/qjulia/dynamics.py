@@ -11,7 +11,7 @@ The per-seed arithmetic exists once, here, and runs on Python floats
 and on float64 arrays alike: ``_eval_poly`` (Horner), ``_divide`` (right
 division by the denominator) and ``plotted_bits`` (the plotted rule).
 The same operations in the same order give the same IEEE results on
-either, so ``_step_batch`` calls them for a whole batch of lanes.
+either, so ``classify_cells``' loop calls them for a whole batch of lanes.
 Only the orbit loops are twinned: ``classify`` runs on bare floats
 (r, m, n, p), with ``Quaternion`` only at the public edges, and
 ``classify_cells`` is its batch mirror, which ``field.scan`` and
@@ -108,7 +108,7 @@ def rational_map(
 
 
 def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
-    """Horner's rule on floats or on float64 arrays (_step_batch).
+    """Horner's rule on floats or on float64 arrays (classify_cells' loop).
 
     A one-coefficient polynomial returns the coefficient's floats
     whatever h is.  Otherwise every term that a coefficient part of
@@ -157,7 +157,7 @@ def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
 
 
 def _eval_map(F: QRationalMap, hr, hm, hn, hp):
-    # one map application on floats; _step_batch is the batch form
+    # one map application on floats; classify_cells' loop is the batch form
     nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
     dr, dm, dn, dp = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
     ns = dr * dr + dm * dm + dn * dn + dp * dp
@@ -177,27 +177,6 @@ def _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns):
     bn = nr * in_ - nm * ip + nn * ir + npp * im
     bp = nr * ip + nm * in_ - nn * im + npp * ir
     return br, bm, bn, bp
-
-
-def _step_batch(F: QRationalMap, hr, hm, hn, hp):
-    """One map application on a batch; returns components plus pole mask.
-
-    _eval_map is the scalar form; here a pole lane divides by its
-    near-zero norm under errstate and is masked instead of raised.
-    """
-    with np.errstate(all="ignore"):
-        nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
-        den = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
-        # a one-coefficient denominator (the 1 below a polynomial map) is
-        # floats; filled to lane shape, the pole mask and results are arrays
-        # and the division is numpy's, which errstate covers
-        dr, dm, dn, dp = (
-            d if isinstance(d, np.ndarray) else np.full_like(hr, d) for d in den
-        )
-        ns = dr * dr + dm * dm + dn * dn + dp * dp
-        # not ns > EPS_DIV, so that a NaN norm is a pole too
-        pole = np.logical_not(ns > quat.EPS_DIV)
-        return (*_divide(nr, nm, nn, npp, dr, dm, dn, dp, ns), pole)
 
 
 def eval_poly(f: QPolynomial, h: Quaternion) -> Quaternion:
@@ -378,28 +357,40 @@ def classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, h
     idx = np.arange(count)
 
     prev = (hr, hm, hn, hp)
-    for n in range(1, iters[-1] + 1):
-        br, bm, bn, bp, pole = _step_batch(F, *prev)
-        finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
-        blown = ~finite & ~pole
-        if pole.any():
-            ended[idx[pole]] = n
-            ended_tag[idx[pole]] = OutcomeKind.POLE_HIT
-        if blown.any():
-            ended[idx[blown]] = n
-            ended_tag[idx[blown]] = OutcomeKind.ESCAPED
-        keep = finite & ~pole
-        if escape:
-            with np.errstate(all="ignore"):
+    # _eval_map is the scalar map step; here a pole lane divides by its
+    # near-zero norm and is masked instead of raised
+    with np.errstate(all="ignore"):
+        for n in range(1, iters[-1] + 1):
+            nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, *prev)
+            # a one-coefficient denominator (the 1 below a polynomial map) is
+            # floats; filled to the live lanes' shape, the pole mask and the
+            # quotient are arrays
+            dr, dm, dn, dp = (
+                d if isinstance(d, np.ndarray) else np.full_like(prev[0], d)
+                for d in _eval_poly(F.denominator.coeffs, *prev)
+            )
+            ns = dr * dr + dm * dm + dn * dn + dp * dp
+            # not ns > EPS_DIV, so that a NaN norm is a pole too
+            pole = np.logical_not(ns > quat.EPS_DIV)
+            br, bm, bn, bp = _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns)
+            finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
+            keep = finite & ~pole
+            if not keep.all():
+                # a pole wins over the non-finite quotient it gives
+                gone = ~keep
+                ended[idx[gone]] = n
+                ended_tag[idx[gone]] = np.where(
+                    pole[gone], OutcomeKind.POLE_HIT, OutcomeKind.ESCAPED
+                )
+            if escape:
                 norm = np.sqrt(br * br + bm * bm + bn * bn + bp * bp)
-            for radius, first_out in zip(radii, first):
-                newly = keep & (first_out[idx] == 0) & (norm > radius)
-                if newly.any():
-                    first_out[idx[newly]] = n
-            if n in norm_at:
-                norm_at[n][idx[keep]] = norm[keep]
-        else:
-            with np.errstate(all="ignore"):
+                for radius, first_out in zip(radii, first):
+                    newly = keep & (first_out[idx] == 0) & (norm > radius)
+                    if newly.any():
+                        first_out[idx[newly]] = n
+                if n in norm_at:
+                    norm_at[n][idx[keep]] = norm[keep]
+            else:
                 dr = br - prev[0]
                 dm = bm - prev[1]
                 dn = bn - prev[2]
@@ -407,17 +398,17 @@ def classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, h
                 dist = np.sqrt(dr * dr + dm * dm + dn * dn + dp * dp)
                 # a live lane has not converged at the smallest radius yet
                 retire = keep & (dist < radii[0])
-            if retire.any():
-                first[0][idx[retire]] = n
-            for radius, first_conv in zip(radii[1:], first[1:]):
-                conv = keep & (first_conv[idx] == 0) & (dist < radius)
-                if conv.any():
-                    first_conv[idx[conv]] = n
-            keep &= ~retire
-        idx = idx[keep]
-        if idx.size == 0:
-            break
-        prev = (br[keep], bm[keep], bn[keep], bp[keep])
+                if retire.any():
+                    first[0][idx[retire]] = n
+                for radius, first_conv in zip(radii[1:], first[1:]):
+                    conv = keep & (first_conv[idx] == 0) & (dist < radius)
+                    if conv.any():
+                        first_conv[idx[conv]] = n
+                keep &= ~retire
+            idx = idx[keep]
+            if idx.size == 0:
+                break
+            prev = (br[keep], bm[keep], bn[keep], bp[keep])
 
     tags = np.empty((len(cells), count), dtype=np.uint8)
     steps = np.empty((len(cells), count), dtype=np.uint32)

@@ -5,6 +5,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from qjulia.dynamics import (
     ClassifierMethod,
@@ -14,6 +15,25 @@ from qjulia.dynamics import (
     _eval_map,
 )
 from qjulia.quat import Quaternion
+
+
+# Generated inputs for the twin-pair gates of test_dynamics and
+# test_oracle2d.  Coefficient parts are often zeros of either sign, which
+# the quaternion Horner skips; seed parts mix uniform values with ones
+# whose products underflow or overflow, whose norm is NaN (1e200) or that
+# sit on small integer fixed points.
+coeff_parts = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-3.0, 3.0))
+nonzero_parts = st.floats(-3.0, 3.0).map(lambda c: c or 1.0)
+seed_parts = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from((0.0, -0.0, 1e-200, -1e-200, 1e150, -1e150, 1e200, 0.75, 2.0, -1.0)),
+)
+radii_1e6_to_1e3 = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
+
+
+def partitions(count):
+    """Cut points splitting range(count) into one to four consecutive parts."""
+    return st.sets(st.integers(1, count), max_size=3).map(lambda cuts: sorted({0, count, *cuts}))
 
 
 # (job entries over a valid Newton job, the key its one error line names):

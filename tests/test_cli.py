@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,23 @@ def test_workers_below_one_is_one_error_line(tmp_path, capsys, monkeypatch, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "job.json", "--workers", "abc"],
+    ["slice", "job.json", "--workers", "2"],
+    ["render"],
+    ["bogus", "job.json"],
+    [],
+], ids=["workers-not-int", "slice-takes-no-workers", "no-job", "unknown-command", "no-command"])
+def test_usage_error_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    _refuse_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    tiny_newton(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
 def test_workers_is_not_a_config_key(tmp_path, capsys):
     # the worker count changes no output byte, so only --workers sets it
     assert main(["render", tiny_newton(tmp_path, workers=2)]) == 1
@@ -181,6 +199,17 @@ def test_malformed_job_is_one_error_line_naming_its_key(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("command", ["render", "slice", "sweep"])
+def test_job_nested_too_deeply_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    _refuse_work(monkeypatch)
+    job = tmp_path / "job.json"
+    job.write_text("[" * 200_000)
+    assert main([command, str(job)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
@@ -220,6 +249,15 @@ def test_output_option_that_names_no_file_is_refused_before_any_work(
     # the CSV can be written, but its one cell's image is a directory
     ("sweep", ["--out", "s.csv"], "out.ppm", "--out", "s_r2_it5.ppm is a directory"),
     ("sweep", [], "s.ppm", "outputPath", "s_r2_it5.ppm is a directory"),
+    # a FIFO, also behind a link, would be replaced by the rename into place
+    ("render", ["--out", "fifo.ppm"], "out.ppm", "--out", "fifo.ppm is not a regular file"),
+    ("render", ["--out", "link.ppm"], "out.ppm", "--out", "link.ppm is not a regular file"),
+    ("render", ["--dump-field", "fifo.ppm"], "out.ppm", "--dump-field", "is not a regular file"),
+    ("render", [], "fifo.ppm", "outputPath", "is not a regular file"),
+    ("slice", ["--out", "fifo.pgm"], "out.ppm", "--out", "is not a regular file"),
+    ("slice", [], "fifo.ppm", "outputPath", "fifo.pgm is not a regular file"),
+    ("sweep", ["--out", "f.csv"], "out.ppm", "--out", "f_r2_it5.ppm is not a regular file"),
+    ("sweep", [], "f.ppm", "outputPath", "f_r2_it5.ppm is not a regular file"),
 ])
 def test_output_that_cannot_be_written_is_refused_before_any_work(
     tmp_path, capsys, monkeypatch, command, argv, output_path, key, reason
@@ -228,6 +266,10 @@ def test_output_that_cannot_be_written_is_refused_before_any_work(
     (tmp_path / "outdir").mkdir()
     (tmp_path / "outdir.pgm").mkdir()
     (tmp_path / "s_r2_it5.ppm").mkdir()
+    fifos = [tmp_path / name for name in ("fifo.ppm", "fifo.pgm", "f_r2_it5.ppm")]
+    for fifo in fifos:
+        os.mkfifo(fifo)
+    (tmp_path / "link.ppm").symlink_to(fifos[0])
     job = tiny_sweep if command == "sweep" else tiny_newton
     cfg = job(tmp_path, outputPath=str(tmp_path / output_path))
     before = sorted(tmp_path.rglob("*"))
@@ -237,6 +279,7 @@ def test_output_that_cannot_be_written_is_refused_before_any_work(
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {key}: ") and reason in err
     assert sorted(tmp_path.rglob("*")) == before
+    assert all(stat.S_ISFIFO(os.stat(fifo).st_mode) for fifo in fifos)
 
 
 def test_slice_refuses_non_real_map_naming_map(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import pytest
+from conftest import coeff_parts, nonzero_parts, partitions, radii_1e6_to_1e3, seed_parts
 
 from qjulia import dynamics as dyn
 from qjulia import quat
@@ -382,3 +383,53 @@ def test_classify_on_zero_part_maps_matches_reference_and_batch(F, params):
     (tags,), (steps,) = dyn.classify_cells(F, (params,), hr, hm, hn, hp)
     assert tags.tolist() == [o.kind for o in outs]
     assert steps.tolist() == [o.steps for o in outs]
+
+
+# Generated maps, cells and seeds for the classify / classify_cells pair;
+# a lead whose parts all came out zero gets a non-zero k part
+quat_coeffs = st.builds(Quaternion, *[coeff_parts] * 4)
+leads = st.builds(
+    lambda c, p: c if c != quat.ZERO else Quaternion(*c[:3], p), quat_coeffs, nonzero_parts
+)
+gen_seeds = st.lists(st.tuples(*[seed_parts] * 4), min_size=1, max_size=24)
+
+
+def polys(max_degree):
+    lower = st.lists(quat_coeffs, max_size=max_degree)
+    return st.builds(lambda cs, c: dyn.QPolynomial((*cs, c)), lower, leads)
+
+
+gen_maps = st.builds(
+    dyn.QRationalMap,
+    polys(4),
+    st.one_of(st.just(dyn.QPolynomial.from_coeffs([1.0])), polys(3)),
+)
+
+
+@st.composite
+def gen_cells(draw):
+    """One to four cells of one method; a radius or max_iter may repeat."""
+    method = draw(st.sampled_from(dyn.ClassifierMethod))
+    radii = draw(st.lists(radii_1e6_to_1e3, min_size=1, max_size=3))
+    iters = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    pairs = st.tuples(st.sampled_from(radii), st.sampled_from(iters))
+    return [
+        dyn.ClassifierParams(method, radius, max_iter)
+        for radius, max_iter in draw(st.lists(pairs, min_size=1, max_size=4))
+    ]
+
+
+@given(gen_maps, gen_cells(), gen_seeds, st.data())
+@settings(deadline=None, max_examples=150, derandomize=True)
+def test_classify_cells_matches_classify_on_generated_maps(F, cells, seeds_, data):
+    cuts = data.draw(partitions(len(seeds_)))
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        hs = (np.array(c) for c in zip(*seeds_[lo:hi]))
+        parts.append(dyn.classify_cells(F, cells, *hs))
+    tags = np.concatenate([t for t, _ in parts], axis=1)
+    steps = np.concatenate([s for _, s in parts], axis=1)
+    for cell, cell_tags, cell_steps in zip(cells, tags, steps):
+        outs = [dyn.classify(F, Quaternion(*s), cell) for s in seeds_]
+        assert cell_tags.tolist() == [o.kind for o in outs], cell
+        assert cell_steps.tolist() == [o.steps for o in outs], cell

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import coeff_parts, nonzero_parts, partitions, radii_1e6_to_1e3, seed_parts
 from hypothesis import given, settings, strategies as st
 
 from qjulia import dynamics as dyn
@@ -271,3 +272,35 @@ def test_oracle_shares_no_quaternion_code():
         elif isinstance(node, ast.Name):
             assert node.id not in {"__import__", "importlib"}, node.id
     assert imported and imported <= allowed, imported - allowed
+
+
+# Generated real maps, parameters and seeds for the classify2d /
+# _classify2d_batch pair
+gen_seeds = st.lists(st.tuples(seed_parts, seed_parts), min_size=1, max_size=40)
+gen_params = st.builds(
+    ClassifierParams, st.sampled_from(ClassifierMethod), radii_1e6_to_1e3, st.integers(1, 40)
+)
+
+
+def real_polys(max_degree):
+    lower = st.lists(coeff_parts, max_size=max_degree)
+    return st.builds(lambda cs, c: [*cs, c], lower, nonzero_parts)
+
+
+gen_cmaps = st.builds(orc.cmap, real_polys(4), st.one_of(st.just([1.0]), real_polys(3)))
+
+
+@given(gen_cmaps, gen_params, gen_seeds, st.data())
+@settings(deadline=None, max_examples=150, derandomize=True)
+def test_classify2d_batch_matches_scalar_on_generated_maps(F, params, seeds, data):
+    cuts = data.draw(partitions(len(seeds)))
+    xs, ys = (np.array(c) for c in zip(*seeds))
+    parts = [
+        orc._classify2d_batch(F, xs[lo:hi], ys[lo:hi], params)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    tags = np.concatenate([t for t, _ in parts])
+    steps = np.concatenate([s for _, s in parts])
+    outs = [orc.classify2d(F, Complex(x, y), params) for x, y in seeds]
+    assert tags.tolist() == [o.kind for o in outs]
+    assert steps.tolist() == [o.steps for o in outs]
