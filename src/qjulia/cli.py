@@ -246,6 +246,3 @@ def main(argv=None) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from qjulia import dynamics, quat
+from qjulia import dynamics
 from qjulia.quat import Quaternion
 from qjulia.dynamics import (
     ClassifierParams,
@@ -46,10 +46,6 @@ _MAGIC = b"QJF1"
 _RECORD = np.dtype([("tag", "u1"), ("steps", "<u4")])
 
 _COMPONENTS = ("r", "m", "n", "p")
-
-
-class InvalidBracket(ValueError):
-    """refine_bisect endpoints do not straddle the plotted boundary."""
 
 
 @dataclass(frozen=True)
@@ -358,33 +354,6 @@ def scan(
     shape = (len(cells), nz, ny, nx)
     stack = FieldStack(region, cells, tags.reshape(shape), steps.reshape(shape))
     return stack.fields[0] if single else stack
-
-
-def refine_bisect(
-    F: QRationalMap,
-    a: Quaternion,
-    b: Quaternion,
-    params: ClassifierParams,
-    k: int,
-) -> Quaternion:
-    """Bisect the segment a..b down to the plotted/unplotted boundary.
-
-    Needs endpoints of differing fate; halves the interval k times,
-    always keeping the sub-segment whose ends still disagree, and
-    returns the final midpoint (within |b-a|/2^k of a crossing).
-    """
-    fa = dynamics.is_plotted(dynamics.classify(F, a, params), params)
-    fb = dynamics.is_plotted(dynamics.classify(F, b, params), params)
-    if fa == fb:
-        raise InvalidBracket("endpoints have identical plotted fate")
-    for _ in range(k):
-        mid = quat.scale(quat.add(a, b), 0.5)
-        fm = dynamics.is_plotted(dynamics.classify(F, mid, params), params)
-        if fm == fa:
-            a = mid
-        else:
-            b = mid
-    return quat.scale(quat.add(a, b), 0.5)
 
 
 def save_csv(field: ClassificationField, path) -> None:

@@ -1,7 +1,9 @@
 """Double-precision quaternion arithmetic.
 
 Values are plain ``Quaternion`` tuples ``(r, m, n, p)`` holding the
-coefficients of 1, i, j, k.  All operations are pure functions, so they are
+coefficients of 1, i, j, k.  The algebra lives only in this module's
+functions: a ``Quaternion`` has no operators of its own, so ``+`` and
+``*`` on one are the tuple's.  All operations are pure functions, so they are
 safe to call from any number of concurrent workers.  Overflow is not trapped:
 arithmetic on huge inputs yields inf/nan components and the caller decides
 what that means (the orbit classifiers treat it as escape).
@@ -29,18 +31,6 @@ class Quaternion(NamedTuple):
     m: float
     n: float
     p: float
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return Quaternion(-self.r, -self.m, -self.n, -self.p)
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

@@ -3,11 +3,14 @@
 Each pixel casts an axis-aligned ray through the scan region, sampling
 at the region's grid step.  The first plotted sample is bracketed with
 its unplotted predecessor and refined by bisection, giving a sub-voxel
-depth map.  Surface normals come from the depth-map gradient (the
-classifier is boolean, there is no smooth scalar field to differentiate)
-and pixels are shaded with a simple Lambertian, Lambertian, or Phong
-model.  Everything is a pure function of the scene description, so
-repeated renders are byte-identical whatever the worker count.
+depth map.  ``cast_rays`` bisects every bracket at once on arrays;
+``refine_bisect``, its scalar twin beside it, bisects one bracket of
+quaternions, and the two agree bit for bit on the same bracket.
+Surface normals come from the depth-map gradient (the classifier is
+boolean, there is no smooth scalar field to differentiate) and pixels
+are shaded with a simple Lambertian, Lambertian, or Phong model.
+Everything is a pure function of the scene description, so repeated
+renders are byte-identical whatever the worker count.
 
 Camera space: +x is image right, +y image up, +z toward the viewer.
 Light directions and normals live in that frame regardless of which
@@ -23,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qjulia import dynamics, field as fld
+from qjulia import dynamics, field as fld, quat
 from qjulia.dynamics import ClassifierParams, QRationalMap, plotted_bits
+from qjulia.quat import Quaternion
 
 PALETTES = ("gray", "steps")
 _VIEW_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1), "+z": (2, 1), "-z": (2, -1)}
@@ -198,6 +202,37 @@ def cast_rays(
         hit.reshape(h, w), depth.reshape(h, w), points.reshape(h, w, 4),
         steps_at_hit.reshape(h, w), du, dv,
     )
+
+
+class InvalidBracket(ValueError):
+    """refine_bisect endpoints do not straddle the plotted boundary."""
+
+
+def refine_bisect(
+    F: QRationalMap,
+    a: Quaternion,
+    b: Quaternion,
+    params: ClassifierParams,
+    k: int,
+) -> Quaternion:
+    """Bisect the segment a..b down to the plotted/unplotted boundary.
+
+    Needs endpoints of differing fate; halves the interval k times,
+    always keeping the sub-segment whose ends still disagree, and
+    returns the final midpoint (within |b-a|/2^k of a crossing).
+    """
+    fa = dynamics.is_plotted(dynamics.classify(F, a, params), params)
+    fb = dynamics.is_plotted(dynamics.classify(F, b, params), params)
+    if fa == fb:
+        raise InvalidBracket("endpoints have identical plotted fate")
+    for _ in range(k):
+        mid = quat.scale(quat.add(a, b), 0.5)
+        fm = dynamics.is_plotted(dynamics.classify(F, mid, params), params)
+        if fm == fa:
+            a = mid
+        else:
+            b = mid
+    return quat.scale(quat.add(a, b), 0.5)
 
 
 def estimate_normal(dm: DepthMap, row: int, col: int) -> tuple[float, float, float]:

@@ -63,6 +63,9 @@ MALFORMED_JOBS = [
     ({"outputPath": ""}, "outputPath"),
     ({"outputPath": "."}, "outputPath"),
     ({"outputPath": "sub/"}, "outputPath"),
+    ({"kRefine": -1}, "kRefine"),
+    ({"region": 5}, "region"),
+    ({"map": 5}, "map"),
 ]
 
 

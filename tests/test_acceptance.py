@@ -229,7 +229,7 @@ def test_criterion_6_bisection_precision():
                 rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
             )
         u = quat.scale(u, 1.0 / quat.norm(u))
-        crossing = field.refine_bisect(
+        crossing = render.refine_bisect(
             SQUARE, quat.scale(u, 0.3), quat.scale(u, 1.7), params, 30
         )
         worst = max(worst, abs(quat.norm(crossing) - 1.0))

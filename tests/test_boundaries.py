@@ -7,7 +7,8 @@ it.  Tests and perfbench may still read private names.
 
 The garbage collector belongs to the process entry: only ``__main__``
 calls a ``gc`` function, so a library caller of any other module keeps
-its collector as it set it.
+its collector as it set it.  It is also the one entry: no other module
+runs as a script, so every process freezes the import-time heap.
 
 Parallelism has one home: only ``field`` (its two runners) forks or
 imports a module that starts threads or processes.
@@ -135,6 +136,34 @@ def main():
     os.getpid(), gc.isenabled
 """
     assert _gc_calls(source) == ["gc.collect", "gc.disable", "gc.enable", "gc.freeze"]
+
+
+_MAIN_TESTS = {"__name__ == '__main__'", "'__main__' == __name__"}
+
+
+def _main_blocks(source: str) -> int:
+    """The number of ``if __name__ == "__main__"`` blocks in source, with
+    the comparison's sides in either order."""
+    return sum(
+        isinstance(node, ast.If) and ast.unparse(node.test) in _MAIN_TESTS
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_the_process_entry_runs_as_a_script():
+    blocks = {path.stem: _main_blocks(path.read_text()) for path in PACKAGE}
+    assert {stem: n for stem, n in blocks.items() if n} == {"__main__": 1}
+
+
+def test_the_main_guard_sees_either_order():
+    assert _main_blocks("""
+if __name__ == "__main__":
+    main()
+if '__main__' == __name__:
+    main()
+if __name__ == "qjulia":
+    main()
+""") == 2
 
 
 _PARALLEL = ("concurrent.futures", "threading", "multiprocessing", "subprocess")

@@ -312,6 +312,7 @@ def test_sweep_cell_params_clamp_cutoff_count():
         ('{"radii": [1.0], "iterationCounts": [4294967296], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}}', "iterationCounts"),
         ('{"radii": [1.0], "iterationCounts": [5]}', "base"),
         ('{"radii": [1.0], "iterationCounts": [5], "base": {"map": {"kind": "newton", "polynomial": [-1, 0, 0, 1]}}, "extra": 1}', "extra"),
+        ("[]", "top level"),
     ],
 )
 def test_sweep_validation(text, needle):

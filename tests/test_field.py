@@ -294,14 +294,18 @@ def test_run_forked_unpicklable_error_is_a_child_process_error(monkeypatch):
         fld.run_forked(fail_at_4, 10, 2)
 
 
-def test_run_forked_child_killed_by_a_signal(monkeypatch):
+@pytest.mark.parametrize("die, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "scan worker killed by SIGKILL"),
+    (lambda: os._exit(3), "scan worker exited with status 3"),
+], ids=["signal", "exit"])
+def test_run_forked_child_that_dies_is_a_child_process_error(die, message, monkeypatch):
     monkeypatch.setattr(fld, "_CHUNK", 4)
 
     def die_at_4(lo, hi):
         if lo == 4:
-            os.kill(os.getpid(), signal.SIGKILL)
+            die()
 
-    with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+    with pytest.raises(ChildProcessError, match=f"^{message}$"):
         fld.run_forked(die_at_4, 10, 2)
 
 
@@ -362,28 +366,6 @@ def test_field_statistics():
     assert 0.0 < f.fraction_plotted() < 1.0
     assert f.fraction(OutcomeKind.CONVERGED) > 0.5
     assert 0.0 < f.mean_steps() < 50.0
-
-
-def test_refine_bisect_unit_sphere():
-    params = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 2.0, 50)
-    rng = random.Random(99)
-    for _ in range(20):
-        u = Quaternion(*(rng.gauss(0, 1) for _ in range(4)))
-        u = quat.scale(u, 1.0 / quat.norm(u))
-        a = quat.scale(u, 0.3)
-        b = quat.scale(u, 1.7)
-        hit = fld.refine_bisect(SQUARE, a, b, params, 30)
-        assert abs(quat.norm(hit) - 1.0) <= 1e-8
-
-
-def test_refine_bisect_guards_and_k0():
-    params = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 2.0, 50)
-    a = Quaternion(0.1, 0, 0, 0)
-    with pytest.raises(fld.InvalidBracket):
-        fld.refine_bisect(SQUARE, a, a, params, 10)
-    b = Quaternion(1.9, 0, 0, 0)
-    mid = fld.refine_bisect(SQUARE, a, b, params, 0)
-    assert mid == quat.scale(quat.add(a, b), 0.5)
 
 
 def test_save_csv(tmp_path):

@@ -245,6 +245,9 @@ def test_write_pgm(tmp_path):
     payload = data[len(b"P5\n3 2\n255\n"):]
     assert len(payload) == 6
     assert payload == bytes([0, 0, 0, 255, 0, 0])
+    with pytest.raises(ValueError, match="2-D"):
+        orc.write_pgm(tmp_path / "bad.pgm", bits[0])
+    assert not (tmp_path / "bad.pgm").exists()
 
 
 def test_oracle_shares_no_quaternion_code():

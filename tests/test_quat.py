@@ -26,7 +26,7 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 def test_mul_basis_table():
     assert quat.mul(I, J) == K
-    assert quat.mul(J, I) == -K
+    assert quat.mul(J, I) == Quaternion(0.0, 0.0, 0.0, -1.0)
     assert quat.mul(J, K) == I
     assert quat.mul(K, I) == J
 
@@ -52,7 +52,7 @@ def test_conj_norms():
 
 def test_inverse_examples():
     assert quat.inverse(Quaternion(2.0, 0.0, 0.0, 0.0)) == Quaternion(0.5, 0.0, 0.0, 0.0)
-    assert quat.inverse(I) == -I
+    assert quat.inverse(I) == Quaternion(0.0, -1.0, 0.0, 0.0)
     assert quat.inverse(Quaternion(1.0, 1.0, 1.0, 1.0)) == Quaternion(0.25, -0.25, -0.25, -0.25)
 
 

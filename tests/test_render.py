@@ -5,8 +5,10 @@ import pytest
 
 from qjulia import dynamics as dyn
 from qjulia import field as fld
+from qjulia import quat
 from qjulia import render as rnd
 from qjulia.dynamics import ClassifierMethod, ClassifierParams
+from qjulia.quat import Quaternion
 
 
 NEWTON = dyn.newton_transform(dyn.QPolynomial.from_coeffs([-1.0, 0.0, 0.0, 1.0]))
@@ -173,9 +175,19 @@ def test_cast_rays_matches_scalar_bisection_exactly(k_refine):
             bracket = (prev, s)
             break
         prev = s
-    refined = fld.refine_bisect(SQUARE, bracket[0], bracket[1], ET, k_refine)
+    refined = rnd.refine_bisect(SQUARE, bracket[0], bracket[1], ET, k_refine)
     assert dm.depth[row, col] == (refined.n - (-2.0)) * 1
     assert tuple(dm.points[row, col]) == tuple(refined)
+
+
+def test_refine_bisect_guards_and_k0():
+    params = ClassifierParams(ClassifierMethod.ESCAPE_TIME, 2.0, 50)
+    a = Quaternion(0.1, 0, 0, 0)
+    with pytest.raises(rnd.InvalidBracket):
+        rnd.refine_bisect(SQUARE, a, a, params, 10)
+    b = Quaternion(1.9, 0, 0, 0)
+    mid = rnd.refine_bisect(SQUARE, a, b, params, 0)
+    assert mid == quat.scale(quat.add(a, b), 0.5)
 
 
 def test_render_deterministic_across_workers():
@@ -196,33 +208,26 @@ def _depth_map_bytes(dm):
 
 
 @pytest.mark.parametrize("view_axis", ["+z", "-x"])
-def test_cast_rays_chunks_split_rows(view_axis, monkeypatch):
+def test_cast_rays_lanes_are_march_bisection_and_final_sample(
+    view_axis, monkeypatch, classify_lanes
+):
+    # the bytes, and the work behind perfbench's render.march_lanes and
+    # bisect_lanes, for any worker count or partition.  Lanes, not calls:
+    # batching may change the number of calls but not the samples taken.
     # 24x21 = 504 rays in one default chunk; 37-lane march chunks start and
     # end mid-row and leave a ragged last chunk of 23 lanes.  The -x hits
     # split into refine chunks of 37, 37 and 4; the +z hits fit in one.
     cam = rnd.Camera(view_axis, (24, 21))
-    base = _depth_map_bytes(rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5))
-    monkeypatch.setattr(fld, "_CHUNK", 37)
-    for workers in (1, 3):
-        dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
-        assert _depth_map_bytes(dm) == base
-    assert int(dm.hit.sum()) == {"+z": 23, "-x": 78}[view_axis]
-
-
-@pytest.mark.parametrize("view_axis", ["+z", "-x"])
-def test_cast_rays_lanes_are_march_bisection_and_final_sample(
-    view_axis, monkeypatch, classify_lanes
-):
-    # the work behind perfbench's render.march_lanes and bisect_lanes, for
-    # any worker count or partition.  Lanes, not calls: batching may change
-    # the number of calls but not the samples taken.
-    cam = rnd.Camera(view_axis, (24, 21))
     axis = "xyz".index(view_axis[1])
+    base = None
     for chunk in (fld._CHUNK, 37):
         monkeypatch.setattr(fld, "_CHUNK", chunk)
         for workers in (1, 3):
             classify_lanes.clear()
             dm = rnd.cast_rays(NEWTON, BOX33, EMB, CO, cam, k_refine=5, workers=workers)
+            base = base or _depth_map_bytes(dm)
+            assert _depth_map_bytes(dm) == base
+            assert int(dm.hit.sum()) == {"+z": 23, "-x": 78}[view_axis]
             # each hit's first plotted layer, read as perfbench's march_counts
             depth = dm.depth[dm.hit]
             first = np.where(depth == 0.0, 0, np.floor(depth / BOX33.step(axis)) + 1)
@@ -283,5 +288,7 @@ def test_write_ppm(tmp_path):
     rgb = np.zeros((2, 2, 3), dtype=np.uint8)
     rnd.write_ppm(tmp_path / "rgb.ppm", rgb)
     assert (tmp_path / "rgb.ppm").read_bytes().startswith(b"P6\n2 2\n255\n")
-    with pytest.raises(ValueError):
-        rnd.write_ppm(tmp_path / "bad.ppm", img.astype(np.uint16))
+    for bad in (img.astype(np.uint16), np.zeros((2, 2, 4), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            rnd.write_ppm(tmp_path / "bad.ppm", bad)
+    assert not (tmp_path / "bad.ppm").exists()
