@@ -93,6 +93,14 @@ class QRationalMap:
     def is_real(self) -> bool:
         return self.numerator.is_real and self.denominator.is_real
 
+    @property
+    def is_polynomial(self) -> bool:
+        """Whether the denominator is the constant 1, so that the map step
+        is the numerator alone: dividing by 1 would give a finite numerator
+        up to the sign of a zero, a non-finite one as non-finite, and never
+        a pole."""
+        return self.denominator == _ONE_POLY
+
 
 def quadratic_map(p: RealOrQuat, q: RealOrQuat) -> QRationalMap:
     """The family p*h^2 + q."""
@@ -159,6 +167,8 @@ def _eval_poly(coeffs: tuple[Quaternion, ...], hr, hm, hn, hp):
 def _eval_map(F: QRationalMap, hr, hm, hn, hp):
     # one map application on floats; classify_cells' loop is the batch form
     nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, hr, hm, hn, hp)
+    if F.is_polynomial:
+        return nr, nm, nn, npp
     dr, dm, dn, dp = _eval_poly(F.denominator.coeffs, hr, hm, hn, hp)
     ns = dr * dr + dm * dm + dn * dn + dp * dp
     if not ns > quat.EPS_DIV:
@@ -356,23 +366,22 @@ def classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, h
     ended_tag = np.empty(count, dtype=np.uint8)
     idx = np.arange(count)
 
+    polynomial = F.is_polynomial
     prev = (hr, hm, hn, hp)
     # _eval_map is the scalar map step; here a pole lane divides by its
     # near-zero norm and is masked instead of raised
     with np.errstate(all="ignore"):
         for n in range(1, iters[-1] + 1):
-            nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, *prev)
-            # a one-coefficient denominator (the 1 below a polynomial map) is
-            # floats; filled to the live lanes' shape, the pole mask and the
-            # quotient are arrays
-            dr, dm, dn, dp = (
-                d if isinstance(d, np.ndarray) else np.full_like(prev[0], d)
-                for d in _eval_poly(F.denominator.coeffs, *prev)
-            )
-            ns = dr * dr + dm * dm + dn * dn + dp * dp
-            # not ns > EPS_DIV, so that a NaN norm is a pole too
-            pole = np.logical_not(ns > quat.EPS_DIV)
-            br, bm, bn, bp = _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns)
+            if polynomial:
+                br, bm, bn, bp = _lanes(F.numerator, prev)
+                pole = np.zeros(br.shape, dtype=bool)
+            else:
+                nr, nm, nn, npp = _eval_poly(F.numerator.coeffs, *prev)
+                dr, dm, dn, dp = _lanes(F.denominator, prev)
+                ns = dr * dr + dm * dm + dn * dn + dp * dp
+                # not ns > EPS_DIV, so that a NaN norm is a pole too
+                pole = np.logical_not(ns > quat.EPS_DIV)
+                br, bm, bn, bp = _divide(nr, nm, nn, npp, dr, dm, dn, dp, ns)
             finite = np.isfinite(br) & np.isfinite(bm) & np.isfinite(bn) & np.isfinite(bp)
             keep = finite & ~pole
             if not keep.all():
@@ -433,6 +442,16 @@ def classify_cells(F: QRationalMap, cells: Sequence[ClassifierParams], hr, hm, h
             tag[conv] = OutcomeKind.CONVERGED
             step[conv] = hit[conv]
     return tags, steps
+
+
+def _lanes(f: QPolynomial, h):
+    """_eval_poly on lane arrays h.  A one-coefficient polynomial gives
+    floats; they are filled to the lanes' shape, so that the masks and the
+    quotient classify_cells builds from them are arrays."""
+    return [
+        x if isinstance(x, np.ndarray) else np.full_like(h[0], x)
+        for x in _eval_poly(f.coeffs, *h)
+    ]
 
 
 def plotted_bits(kind, steps, params: ClassifierParams):

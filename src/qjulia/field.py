@@ -9,10 +9,11 @@ sweep) gives a FieldStack from one orbit pass per voxel.
 
 The flat voxel index space is cut into fixed-size chunks whose
 boundaries never depend on how many workers run.  ``scan``'s workers
-are forked processes (``run_forked``): each writes its own chunks of
-output arrays that live in shared anonymous memory, so no locking is
-needed and no result is copied back.  ``cast_rays``' march and refine
-still run their chunks on threads (``run_chunks``).
+are the calling process and forked children (``run_forked``): each runs
+one contiguous share of the chunks and writes them into output arrays
+that live in shared anonymous memory, so no locking is needed and no
+result is copied back.  ``cast_rays``' march and refine still run their
+chunks on threads (``run_chunks``).
 
 ``save_csv`` and ``save_raw`` write a field as text or as QJF1;
 ``load_raw``, which nothing in the package calls, is the QJF1 reader.
@@ -230,38 +231,38 @@ def run_chunks(run: Callable[[int, int], None], total: int, workers: int) -> Non
 
 def run_forked(run: Callable[[int, int], None], total: int, workers: int) -> None:
     """Call run(lo, hi) once for each slice of range(total) (see _slices)
-    in min(workers, slices) forked processes.
+    in min(workers, slices) processes: the caller and forked children.
 
-    scan's runner.  run must write its results into memory the parent
-    shares (scan's arrays live in an anonymous mmap); anything else a
-    child changes is lost with it.  The slices are dealt round robin, and
-    each child stops at its first failing slice and reports it.  The
-    parent reaps every child, also when it is interrupted itself (it then
-    kills them first), and re-raises the reported error with the lowest
-    lo; a child that died otherwise, say by a signal, is a
-    ChildProcessError.  With one process, or without os.fork, the slices
-    run here in order.
+    scan's runner.  The slices are cut into contiguous shares, in order,
+    whose sizes differ by at most one (one share without os.fork).  A
+    child is forked for each share but the first, which the caller then
+    runs, so no child inherits its batch temporaries.  run must write into
+    memory the caller shares (scan's arrays live in an anonymous mmap).
+    Each share stops at its first failing slice.  The first failure in
+    share order, the lowest failing slice, is re-raised; a child that died
+    otherwise, say by a signal, is a ChildProcessError.  When the caller's
+    share fails or is interrupted, it kills the children before it reaps.
     """
     slices = _slices(total, workers)
-    procs = min(workers, len(slices))
-    if procs <= 1 or not hasattr(os, "fork"):
-        for lo, hi in slices:
-            run(lo, hi)
-        return
-    children = []  # (pid, read end of its report pipe)
+    procs = max(min(workers, len(slices)), 1) if hasattr(os, "fork") else 1
+    cuts = [len(slices) * k // procs for k in range(procs + 1)]
+    shares = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # (pid, read end of its report pipe), in share order
     try:
-        for k in range(procs):
+        for share in shares[1:]:
             rfd, wfd = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(run, slices[k::procs], wfd)
+                    _child(run, share, wfd)
             except BaseException:
                 os.close(rfd)
                 raise
             finally:
                 os.close(wfd)
             children.append((pid, rfd))
+        for lo, hi in shares[0]:
+            run(lo, hi)
         reports = []
         for _, rfd in children:
             with open(rfd, "rb", closefd=False) as pipe:
@@ -277,10 +278,9 @@ def run_forked(run: Callable[[int, int], None], total: int, workers: int) -> Non
         for pid, rfd in children:
             os.close(rfd)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    failures = [pickle.loads(r) for r, code in zip(reports, codes) if r and code == 1]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    for code in codes:
+    for report, code in zip(reports, codes):
+        if report and code == 1:
+            raise pickle.loads(report)
         if code < 0:
             import signal
 
@@ -289,23 +289,23 @@ def run_forked(run: Callable[[int, int], None], total: int, workers: int) -> Non
             raise ChildProcessError(f"scan worker exited with status {code}")
 
 
-def _child(run: Callable[[int, int], None], slices, wfd: int):
-    """A forked worker's whole life: run its slices, write the first
-    failure as a pickled (lo, exception) to wfd, and leave by os._exit,
+def _child(run: Callable[[int, int], None], share, wfd: int):
+    """A forked worker's whole life: run its share of slices, write the
+    first failure as a pickled exception to wfd, and leave by os._exit,
     so it never returns into the caller's frames or flushes the stdio
     buffers it shares with the parent."""
     status = 1
     try:
-        for lo, hi in slices:
+        for lo, hi in share:
             try:
                 run(lo, hi)
             except BaseException as exc:
-                report = (lo, exc)
+                report = exc
                 try:
                     # the parent must be able to rebuild what it reads
                     pickle.loads(pickle.dumps(report))
                 except Exception:
-                    report = (lo, ChildProcessError(f"scan worker failed: {exc!r}"))
+                    report = ChildProcessError(f"scan worker failed: {exc!r}")
                 with open(wfd, "wb", closefd=False) as pipe:
                     pickle.dump(report, pipe)
                 break
@@ -328,9 +328,10 @@ def scan(
     (one shared method; radii and max_iter in any order, repeats allowed)
     gives a FieldStack with one cell per entry, all answered by a single
     orbit pass per voxel, with the same tags and steps as separate scans.
-    The workers are forked processes (run_forked) that write the chunks
-    of tags and steps dealt to them; those arrays live in shared
-    anonymous memory, so the parent reads the children's writes directly.
+    The workers are this process and forked children (run_forked), each
+    writing the tags and steps of one contiguous share of the chunks;
+    those arrays live in shared anonymous memory, so the caller reads the
+    children's writes directly.
     """
     single = isinstance(params, ClassifierParams)
     cells = (params,) if single else tuple(params)
@@ -358,15 +359,18 @@ def scan(
 
 def save_csv(field: ClassificationField, path) -> None:
     """Text dump, one voxel per row in x-fastest order."""
-    iy, ix = np.indices(field.tags.shape[1:]).reshape(2, -1).tolist()
+    ny, nx = field.tags.shape[1:]
+    # every layer's rows start with the same "ix,iy," prefixes
+    prefixes = [f"{x},{y}," for y in range(ny) for x in range(nx)]
     # tags are OutcomeKind values 0..3, so a tag indexes this list
     labels = [OUTCOME_LABELS[kind] for kind in OutcomeKind]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("ix,iy,iz,outcome,steps\n")
         # one z-layer at a time: whole-field Python lists cost ~12 MB at 65^3
         for iz, (tags, steps) in enumerate(zip(field.tags, field.steps)):
-            rows = zip(ix, iy, tags.ravel().tolist(), steps.ravel().tolist())
-            fh.writelines(f"{x},{y},{iz},{labels[t]},{n}\n" for x, y, t, n in rows)
+            middles = [f"{iz},{label}," for label in labels]
+            rows = zip(prefixes, tags.ravel().tolist(), steps.ravel().tolist())
+            fh.writelines(f"{p}{middles[t]}{n}\n" for p, t, n in rows)
 
 
 def save_raw(field: ClassificationField, path) -> None:

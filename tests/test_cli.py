@@ -540,7 +540,8 @@ def test_failing_scan_worker_ends_in_one_error_line(
     spec = {"radii": [2.0, 4.0], "iterationCounts": [5], "base": base}
     cfg = write_cfg(tmp_path, "sweep.json", spec)
     before = sorted(p.name for p in tmp_path.iterdir())
-    # 729 voxels in 100-voxel slices, so two workers fork two children
+    # 729 voxels in 100-voxel slices: at two workers the caller runs the
+    # first four and one forked child the last four
     monkeypatch.setattr(field, "_CHUNK", 100)
     parent = os.getpid()
     classify_cells = dynamics.classify_cells

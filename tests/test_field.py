@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import signal
@@ -246,8 +247,8 @@ def test_run_forked_runs_each_slice_once(slices, workers, chunk, monkeypatch):
     fld.run_forked(run, total, workers)
     assert runs.tolist() == [1] * slices
     assert ends.tolist() == [min(lo + chunk, total) for lo in range(0, total, chunk)]
-    assert len(forks) <= slices
-    assert len(forks) == (min(workers, slices) if min(workers, slices) > 1 else 0)
+    # the caller runs the first share itself
+    assert len(forks) == max(min(workers, slices) - 1, 0)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -262,15 +263,19 @@ def test_run_forked_reraises_a_slices_error(workers, monkeypatch):
 
     with pytest.raises(RuntimeError, match="^chunk 4..8 failed$"):
         fld.run_forked(fail_second, 20, workers)
-    # the slices dealt after 4..8 to the same worker never ran
-    after = range(1 + workers, 5, workers)
+    # the slices after 4..8 in its share never ran; at 2 workers the
+    # caller's own share fails, and whether the child reached its later
+    # slices before it was killed is a race
+    cuts = [5 * k // workers for k in range(workers + 1)]
+    share = next(range(a, b) for a, b in zip(cuts, cuts[1:]) if a <= 1 < b)
     assert runs[1] == 1
-    assert all(runs[i] == 0 for i in after)
+    assert all(runs[i] == 0 for i in share if i > 1)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_run_forked_reraises_the_lowest_slices_error(workers, monkeypatch):
-    # at 2 workers the first child fails at 8 and the second at 4
+    # at 3 workers one child fails at 4 and another at 8, and the caller
+    # re-raises the failure of the earlier share whichever ends first
     monkeypatch.setattr(fld, "_CHUNK", 4)
 
     def fail_from_4(lo, hi):
@@ -325,6 +330,49 @@ def test_run_forked_interrupted_parent_kills_and_reaps(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     # the children were killed, not waited out
     assert time.perf_counter() - start < 30
+
+
+def test_run_forked_failing_first_share_kills_and_reaps_the_children(monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+
+    def fail_first(lo, hi):
+        if lo == 0:
+            raise RuntimeError("first share failed")
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^first share failed$"):
+        fld.run_forked(fail_first, 12, 3)
+    # the sleeping children were killed, not waited out, and all reaped
+    assert time.perf_counter() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_forked_without_fork_runs_every_slice_here_in_order(monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+    monkeypatch.delattr(os, "fork")
+    seen = []
+    fld.run_forked(lambda lo, hi: seen.append((lo, hi, os.getpid())), 10, 3)
+    assert seen == [(0, 4, os.getpid()), (4, 8, os.getpid()), (8, 10, os.getpid())]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 64])
+def test_run_forked_runs_contiguous_shares_the_first_in_the_caller(workers, monkeypatch):
+    monkeypatch.setattr(fld, "_CHUNK", 4)
+    slices = 11
+    pids = fld._shared((slices,), np.int64)
+
+    def run(lo, hi):
+        pids[lo // 4] = os.getpid()
+
+    fld.run_forked(run, slices * 4 - 1, workers)
+    # each pid runs one run of consecutive slices, its share
+    runs = itertools.groupby(pids.tolist())
+    owners, sizes = zip(*((pid, len(list(group))) for pid, group in runs))
+    assert owners[0] == os.getpid()
+    assert len(set(owners)) == len(owners) == min(workers, slices)
+    assert max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("chunk", [4, 37])
